@@ -114,7 +114,7 @@ func runRackCheckpointed(cfg server.Config, ev experiments.RackEval, ckptFile st
 		os.Exit(1)
 	}
 	if metrics {
-		printMetrics(os.Stdout, reg)
+		printMetrics(os.Stdout, reg, rackPins)
 	}
 }
 
@@ -269,7 +269,7 @@ func main() {
 			}
 		}
 		if *metricsFlag {
-			printMetrics(os.Stdout, reg)
+			printMetrics(os.Stdout, reg, rackPins)
 		}
 		return
 	}
@@ -316,7 +316,7 @@ func main() {
 		fmt.Println("Surv the slots still placeable at the horizon — schedules are deterministic,")
 		fmt.Println("so every cell is reproducible bit-for-bit at any worker count")
 		if *metricsFlag {
-			printMetrics(os.Stdout, reg)
+			printMetrics(os.Stdout, reg, rackPins)
 		}
 		return
 	}
@@ -389,7 +389,7 @@ func main() {
 		fmt.Println("plus the shared bank's cooling bill — the recirculation-aware choosers avoid")
 		fmt.Println("racks whose exhaust lands back on cold aisles, trimming both terms")
 		if *metricsFlag {
-			printMetrics(os.Stdout, reg)
+			printMetrics(os.Stdout, reg, roomPins)
 		}
 		return
 	}
@@ -442,7 +442,7 @@ func main() {
 			fmt.Println("\nall policies serve the identical job trace; Total(Wh) differences are the")
 			fmt.Println("placement's leakage+fan cost — thermally aware policies should be lowest")
 			if *metricsFlag {
-				printMetrics(os.Stdout, reg)
+				printMetrics(os.Stdout, reg, rackPins)
 			}
 			return
 		}
@@ -480,7 +480,7 @@ func main() {
 		fmt.Println("amplified at the wall; under the cap, Defer counts placements the runner held")
 		fmt.Println("back to keep the predicted wall draw within budget")
 		if *metricsFlag {
-			printMetrics(os.Stdout, reg)
+			printMetrics(os.Stdout, reg, rackPins)
 		}
 		return
 	}

@@ -9,27 +9,55 @@ import (
 	"strings"
 
 	"repro/internal/obs"
+	"repro/internal/room"
 	"repro/internal/sched"
 )
 
+// pinTable names one kernel's pin-reason counters: the metric prefix, the
+// taxonomy in attribution order, and the counters of the Σ pins identity.
+type pinTable struct {
+	what     string   // "rack" or "room", for the headings
+	prefix   string   // pin counter prefix, e.g. "kernel.pin."
+	names    []string // reasons in attribution-priority order
+	advances string   // per-rack advances counter (single steps and windows)
+	windows  string   // macro windows counter
+	grid     string   // fixed-dt steps crossed counter
+}
+
+// rackPins and roomPins are the two kernels' tables: -rack, -facility and
+// -faults run the rack trace kernel; -room runs the room kernel, whose
+// per-rack sub-kernels advance in chunks.
+var (
+	rackPins = pinTable{"rack", "kernel.pin.", sched.PinReasonNames(),
+		"kernel.steps.total", "kernel.windows.macro", "kernel.grid.steps"}
+	roomPins = pinTable{"room", "room.pin.", room.PinReasonNames(),
+		"room.rack.steps.total", "room.windows.macro", "room.grid.steps"}
+)
+
 // printMetrics renders the run-metrics registry after an experiment: the
-// pin-reason breakdown with its sum identity — Σ per-reason single steps =
-// total rack advances − macro windows, exact by construction — followed by
-// the full sorted dump. Every reason in the taxonomy prints, zero or not,
-// in the fixed PinReasonNames order, so runs are diffable line-by-line.
-func printMetrics(w io.Writer, reg *obs.Registry) {
-	steps := reg.Counter("kernel.steps.total").Value()
-	macro := reg.Counter("kernel.windows.macro").Value()
-	grid := reg.Counter("kernel.grid.steps").Value()
-	fmt.Fprintf(w, "\nPin-reason breakdown (why the kernel advanced one step instead of a macro window):\n")
+// pin-reason breakdown of the kernel the mode actually ran, with its sum
+// identity — Σ per-reason single steps = total rack advances − macro
+// windows, exact by construction — followed by the full sorted dump. Every
+// reason in the taxonomy prints, zero or not, in the fixed order, so runs
+// are diffable line-by-line. Values are read through one Snapshot, so
+// printing registers nothing: a counter the run never touched reads 0
+// without appearing in the dump.
+func printMetrics(w io.Writer, reg *obs.Registry, pt pinTable) {
+	vals := map[string]int64{}
+	for _, m := range reg.Snapshot() {
+		if m.Kind == obs.KindCounter {
+			vals[m.Name] = int64(m.Value)
+		}
+	}
+	fmt.Fprintf(w, "\nPin-reason breakdown (why the %s kernel advanced one step instead of a macro window):\n", pt.what)
 	var sum int64
-	for _, name := range sched.PinReasonNames() {
-		v := reg.Counter("kernel.pin." + name).Value()
+	for _, name := range pt.names {
+		v := vals[pt.prefix+name]
 		sum += v
 		fmt.Fprintf(w, "  %-12s %10d\n", name, v)
 	}
 	fmt.Fprintf(w, "pin identity: Σ pins %d = rack advances %d − macro windows %d (grid steps crossed: %d)\n",
-		sum, steps, macro, grid)
+		sum, vals[pt.advances], vals[pt.windows], vals[pt.grid])
 	fmt.Fprintf(w, "\nRun metrics (sorted; deterministic for every worker count):\n")
 	reg.WriteText(w)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/room"
 	"repro/internal/sched"
 )
 
@@ -23,7 +24,7 @@ func TestPrintMetricsIdentityLine(t *testing.T) {
 	reg.Counter("kernel.pin.backlog").Add(1)
 
 	var sb strings.Builder
-	printMetrics(&sb, reg)
+	printMetrics(&sb, reg, rackPins)
 	out := sb.String()
 	if !strings.Contains(out, "pin identity: Σ pins 3 = rack advances 10 − macro windows 7 (grid steps crossed: 100)") {
 		t.Errorf("identity line missing or wrong:\n%s", out)
@@ -44,6 +45,40 @@ func TestPrintMetricsIdentityLine(t *testing.T) {
 	}
 	if !strings.Contains(out, "kernel.steps.total 10") {
 		t.Errorf("sorted dump missing:\n%s", out)
+	}
+}
+
+// TestPrintMetricsRoomMode: a room run's registry prints the room
+// kernel's pin table — room.pin.* with Σ = room.rack.steps.total −
+// room.windows.macro — and printing registers no counter of its own, so
+// the dump carries no all-zero kernel.* entries of the rack kernel that
+// never ran.
+func TestPrintMetricsRoomMode(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.Counter("room.rack.steps.total").Add(553)
+	reg.Counter("room.windows.macro").Add(466)
+	reg.Counter("room.grid.steps").Add(1800)
+	reg.Counter("room.pin.arrival").Add(38)
+	reg.Counter("room.pin.completion").Add(45)
+	reg.Counter("room.pin.controller").Add(4)
+	before := len(reg.Snapshot())
+
+	var sb strings.Builder
+	printMetrics(&sb, reg, roomPins)
+	out := sb.String()
+	if !strings.Contains(out, "pin identity: Σ pins 87 = rack advances 553 − macro windows 466 (grid steps crossed: 1800)") {
+		t.Errorf("room identity line missing or wrong:\n%s", out)
+	}
+	for _, name := range room.PinReasonNames() {
+		if !strings.Contains(out, "  "+name+" ") {
+			t.Errorf("room pin reason %q missing from breakdown:\n%s", name, out)
+		}
+	}
+	if after := len(reg.Snapshot()); after != before {
+		t.Errorf("printing registered %d new metrics", after-before)
+	}
+	if strings.Contains(out, "kernel.") {
+		t.Errorf("room dump carries rack-kernel counters:\n%s", out)
 	}
 }
 

@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/obs"
+	"repro/internal/power"
 	"repro/internal/server"
 )
 
@@ -11,11 +14,14 @@ import (
 // per-row equivalence contract: identical scheduling outcomes, energies
 // within the macro-stepping tolerance, identical fan-change counts. It
 // returns the per-policy speedup factors keyed by policy name plus the
-// aggregate fixed/event step totals.
+// aggregate fixed/event step totals. ev.Metrics, when set, instruments
+// the event-kernel run only.
 func compareKernels(t *testing.T, ev RackEval) (rows []RackPolicyResult, speedups map[string]float64, fixedSteps, eventSteps int) {
 	t.Helper()
 	base := server.T3Config()
-	fixedRows, err := RackPolicyComparison(base, ev)
+	fixedEv := ev
+	fixedEv.Metrics = nil
+	fixedRows, err := RackPolicyComparison(base, fixedEv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,6 +49,7 @@ func compareKernels(t *testing.T, ev RackEval) (rows []RackPolicyResult, speedup
 		// Identical scheduling outcomes.
 		fs, es := f.Sched, e.Sched
 		fs.RackSteps, es.RackSteps = 0, 0
+		fs.Metrics, es.Metrics = nil, nil
 		if fs != es {
 			t.Errorf("%s: scheduling outcomes differ:\nfixed %+v\nevent %+v", f.Policy, f.Sched, e.Sched)
 		}
@@ -86,6 +93,7 @@ func compareKernels(t *testing.T, ev RackEval) (rows []RackPolicyResult, speedup
 func TestEventSteppingSmoke(t *testing.T) {
 	t.Run("default", func(t *testing.T) {
 		_, _, fixedSteps, eventSteps := compareKernels(t, DefaultRackEval())
+		macroCountGate(t)
 		speedup := float64(fixedSteps) / float64(eventSteps)
 		t.Logf("default trace: %d fixed rack steps vs %d event rack steps — %.1f× fewer", fixedSteps, eventSteps, speedup)
 		if eventSteps >= fixedSteps {
@@ -123,4 +131,53 @@ func TestEventSteppingSmoke(t *testing.T) {
 			}
 		}
 	})
+}
+
+// defaultTracePins is Σ kernel.pin.* on the default trace as `evalctl
+// -rack -eventstep -metrics` runs it (uncapped and capped halves): the
+// kernel's schedule of advances, windows and pins is fixed by the trace,
+// the cap and the controllers' promises, not by how a window is advanced.
+const defaultTracePins = 2068
+
+// macroCountGate runs the default trace the way `evalctl -rack -eventstep
+// -metrics` does and pins its deterministic work counts: the kept leakage
+// anchors must serve most windows (≤ 1.3 fresh linearizations per
+// server-window), plain tail steps happen only on single-step windows
+// (one per server), the pin total is the trace's, and drift-forced
+// re-anchors are still counted.
+func macroCountGate(t *testing.T) {
+	t.Helper()
+	ev := DefaultRackEval()
+	ev.EventStepping = true
+	psu, pdu := power.DefaultPSU(), power.DefaultPDU()
+	ev.PSU, ev.PDU = &psu, &pdu
+	reg := obs.NewRegistry()
+	ev.Metrics = reg
+	if _, err := RackACComparison(server.T3Config(), ev); err != nil {
+		t.Fatal(err)
+	}
+	c := func(name string) int64 { return reg.Counter(name).Value() }
+	var pins int64
+	for _, m := range reg.Snapshot() {
+		if m.Kind == obs.KindCounter && strings.HasPrefix(m.Name, "kernel.pin.") {
+			pins += int64(m.Value)
+		}
+	}
+	advances, windows := c("kernel.steps.total"), c("kernel.windows.macro")
+	serverWindows := windows * int64(ev.Servers)
+	anchors := c("rack.macro.anchors")
+	t.Logf("default trace: %d anchors over %d server-windows (%.2f per server-window), %d drift stops, %d plain tail steps, Σ pins %d",
+		anchors, serverWindows, float64(anchors)/float64(serverWindows), c("rack.macro.drift_stops"), c("rack.macro.plain.tail"), pins)
+	if 10*anchors > 13*serverWindows {
+		t.Errorf("rack.macro.anchors = %d over %d server-windows, want ≤ 1.3 per server-window", anchors, serverWindows)
+	}
+	if tail, single := c("rack.macro.plain.tail"), (advances-windows)*int64(ev.Servers); tail != single {
+		t.Errorf("rack.macro.plain.tail = %d, want single-step windows × servers = %d", tail, single)
+	}
+	if pins != defaultTracePins || pins != advances-windows {
+		t.Errorf("Σ pins = %d (advances %d − windows %d), want %d", pins, advances, windows, defaultTracePins)
+	}
+	if c("rack.macro.drift_stops") == 0 {
+		t.Error("rack.macro.drift_stops = 0: drift-forced re-anchors are no longer counted")
+	}
 }

@@ -29,7 +29,7 @@
 // Every hot-path method (Add, Inc, Set, SetMax, Observe, Sharded.Add) is
 // allocation-free and nil-receiver-safe: with no registry attached the
 // instrumented code paths pay one nil check and allocate nothing, which is
-// what keeps the zero-allocation pins on server.Step, server.MacroStep and
+// what keeps the zero-allocation pins on server.Step, server.MacroWindow and
 // rack.Step intact. Registration (Registry.Counter et al.) allocates and
 // takes a lock; fetch metric handles once per run, not per step.
 package obs

@@ -64,7 +64,8 @@
 // through literally the same code at the same instants, so placements,
 // deferral counts and queue statistics are identical — and advances the
 // rack across each quiet gap in one closed-form macro window
-// (rack.Advance over server.MacroWindow over thermal.StepLinearizedN).
+// (rack.Advance over server.MacroWindow over each server's kept thermal
+// anchor, thermal.Network.AdvanceAnchored).
 // Energies agree with the fixed-dt reference to ≤1e-6 relative (the
 // leakage-linearization drift cap, server.Config.MacroDriftTolC, is the
 // knob), and wall-clock scales with the number of events instead of

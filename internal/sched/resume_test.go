@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/control"
@@ -182,6 +183,98 @@ func TestResumeEquivalence(t *testing.T) {
 				if dumpA != dumpC {
 					t.Fatalf("%s: metrics dumps differ\n--- full ---\n%s\n--- resumed ---\n%s", label, dumpA, dumpC)
 				}
+			}
+		}
+	}
+}
+
+// quietInstants returns the midpoints of the `count` longest gaps between
+// consecutive trace events (arrivals and nominal completions) inside
+// (lo, hi): instants deep inside quiet stretches, where the event kernel
+// is mid-way through long macro windows on kept thermal anchors.
+func quietInstants(jobs []Job, lo, hi float64, count int) []float64 {
+	events := []float64{lo, hi}
+	for _, j := range jobs {
+		for _, t := range []float64{j.Arrival, j.Arrival + j.Duration} {
+			if t > lo && t < hi {
+				events = append(events, t)
+			}
+		}
+	}
+	sort.Float64s(events)
+	type gap struct{ mid, len float64 }
+	var gaps []gap
+	for i := 1; i < len(events); i++ {
+		gaps = append(gaps, gap{(events[i-1] + events[i]) / 2, events[i] - events[i-1]})
+	}
+	sort.Slice(gaps, func(a, b int) bool { return gaps[a].len > gaps[b].len })
+	var out []float64
+	for i := 0; i < count && i < len(gaps); i++ {
+		out = append(out, gaps[i].mid)
+	}
+	sort.Float64s(out)
+	return out
+}
+
+// TestResumeEquivalenceLiveAnchors interrupts the event kernel inside the
+// trace's longest quiet stretches, where servers carry kept leakage
+// linearizations across macro windows: the checkpoint must carry those
+// live anchors (the test fails if none is, rather than passing vacuously)
+// and the resumed run must still be byte-identical to the uninterrupted
+// one — Result, telemetry and metrics dump.
+func TestResumeEquivalenceLiveAnchors(t *testing.T) {
+	table := resumeRackTable(t)
+	const n, horizon = 4, 500.0
+	jobs := faultTraceJobs(t, 400)
+	policies := map[string]func() Policy{
+		"round-robin":   func() Policy { return NewRoundRobin() },
+		"coolest-first": func() Policy { return NewCoolestFirst() },
+	}
+	for name, mkP := range policies {
+		for _, truncAt := range quietInstants(jobs, 60, horizon-20, 3) {
+			label := fmt.Sprintf("%s trunc=%.1f", name, truncAt)
+			tc := TraceConfig{Dt: 1, Horizon: horizon, EventStepping: true, SampleEvery: 15}
+
+			rA := resumeRack(t, table, n, 1, false)
+			regA := obs.NewRegistry()
+			tcA := tc
+			tcA.Metrics = regA
+			resA, err := RunTraceCfg(rA, jobs, mkP(), tcA)
+			if err != nil {
+				t.Fatalf("%s: reference run: %v", label, err)
+			}
+
+			rB := resumeRack(t, table, n, 4, false)
+			tcB := tc
+			tcB.Metrics = obs.NewRegistry()
+			ck := interruptAt(t, rB, jobs, mkP(), tcB, truncAt)
+			live := 0
+			for _, slot := range ck.Rack.Slots {
+				if len(slot.Server.AnchorKey) > 0 {
+					live++
+				}
+			}
+			if live == 0 {
+				t.Fatalf("%s: checkpoint at step %d carries no live anchor — the instant is not quiet", label, ck.K)
+			}
+
+			rC := resumeRack(t, table, n, 4, false)
+			regC := obs.NewRegistry()
+			tcC := tc
+			tcC.Metrics = regC
+			resC, err := ResumeTraceCfg(rC, jobs, mkP(), tcC, ck)
+			if err != nil {
+				t.Fatalf("%s: resume: %v", label, err)
+			}
+			if !reflect.DeepEqual(stripMetrics(resA), stripMetrics(resC)) {
+				t.Fatalf("%s: resumed Result differs\nfull:    %+v\nresumed: %+v",
+					label, stripMetrics(resA), stripMetrics(resC))
+			}
+			if !reflect.DeepEqual(rA.Telemetry(), rC.Telemetry()) {
+				t.Fatalf("%s: resumed telemetry differs", label)
+			}
+			if dumpA, dumpC := dumpRegistry(t, regA), dumpRegistry(t, regC); dumpA != dumpC {
+				t.Fatalf("%s: metrics dumps differ\n--- full ---\n%s\n--- resumed ---\n%s", label, dumpA, dumpC)
 			}
 		}
 	}

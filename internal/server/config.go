@@ -63,15 +63,17 @@ type Config struct {
 	// matters on the RK4 path; the exact propagator is step-size exact.
 	MaxThermalStep float64
 
-	// MacroDriftTolC bounds the die-temperature movement, in °C, a single
-	// closed-form macro-step (Server.MacroStep) may span before the
-	// leakage linearization is re-anchored at the current temperatures.
-	// Smaller values track the fixed-dt reference more tightly at the cost
-	// of more sub-steps per event gap; 0 selects the default 1 °C, which
-	// keeps whole-trace energies within ~3e-7 relative (the error scales
-	// linearly with the tolerance). Values above the 5 °C thermal-trip
-	// guard band are clamped to it. Only consulted by the event-stepping
-	// kernel; plain Step ignores it.
+	// MacroDriftTolC bounds how far, in °C, any thermal node may move
+	// from the temperatures the leakage linearization was anchored at
+	// before a closed-form macro window (Server.MacroWindow) re-anchors at
+	// the current temperatures; a kept anchor is reused by a later window
+	// only if it starts within a quarter of this. Smaller values track the
+	// fixed-dt reference more tightly at the cost of more re-anchors per
+	// event gap; 0 selects the default 1 °C, which keeps whole-trace
+	// energies within ~5e-7 relative (the error scales with the
+	// tolerance). Values above the 5 °C thermal-trip guard band are
+	// clamped to it. Only consulted by the event-stepping kernel; plain
+	// Step ignores it.
 	MacroDriftTolC float64
 
 	// ThermalIntegrator selects the RC network stepping scheme. The zero

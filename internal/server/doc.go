@@ -12,7 +12,7 @@
 // and the trip flag LATCHES. Tripped() keeps reporting true for the rest
 // of the run even after the machine cools back below the threshold — like
 // a real machine's fault log, a trip is an event record, not a state
-// readout. Nothing in Step, MacroStep or the controllers ever clears it;
+// readout. Nothing in Step, MacroWindow or the controllers ever clears it;
 // the only reset is the operator's explicit ResetTrip (the clear leg of a
 // fault.ServerTrip event uses it). Rack health (rack.Health) and the trace
 // scheduler's kill/requeue logic key off this latch, so a server that

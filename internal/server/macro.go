@@ -1,69 +1,61 @@
 package server
 
 import (
+	"math"
+
 	"repro/internal/thermal"
 	"repro/internal/units"
 )
 
-// defaultMacroDriftTolC is the per-macro-step die-temperature movement cap
+// defaultMacroDriftTolC is the per-anchor node-temperature movement cap
 // when Config.MacroDriftTolC is zero. The leakage model's curvature at
 // operating temperatures is ~0.02 W/°C², so re-anchoring the linearization
-// every degree keeps the energy deviation from the fixed-dt rectangle sums
-// around 3e-7 relative on hour-long traces (measured on the default rack
-// trace; it scales linearly with the tolerance) — inside the event
-// kernel's 1e-6 equivalence budget with margin to spare.
+// whenever a node strays a degree from its anchor keeps the energy
+// deviation from the fixed-dt rectangle sums around 5e-7 relative on the
+// two-day quiet rack benchmark trace (it scales with the tolerance) —
+// inside the event kernel's 1e-6 equivalence budget.
 const defaultMacroDriftTolC = 1.0
 
 // tripGuardC is the margin below CriticalTemp within which macro-stepping
 // refuses to collapse steps: the fixed-dt path checks the thermal-trip
 // threshold after every step, and a macro window must not be able to skip
-// past it. A window's endpoint can move at most the drift tolerance, far
-// less than this band.
+// past it. An anchor is only taken outside this band, and a collapsed
+// endpoint stays within the drift tolerance of its anchor temperatures
+// (see macroDriftTol).
 const tripGuardC = 5
 
-// MacroStep advances the server by up to maxSteps consecutive fixed-dt
-// steps in one closed-form application of the linearized step map,
-// returning the number of steps actually advanced (always ≥ 1).
+// MacroWindow advances the server through exactly `steps` fixed-dt steps —
+// the rack-level macro window — and returns the maxima observed at
+// sub-step boundaries for the rack's temperature roll-ups.
 //
 // Between scheduling events the server's inputs are constant: utilization,
 // fan command, ambient and therefore active, memory, fan and idle power.
 // The only per-step feedback is the temperature-dependent CPU leakage, so
 // the fixed-dt trajectory is the repeated application of one affine map
-// once leakage is linearized around the current die temperatures. The
-// thermal network composes that map in closed form
-// (thermal.StepLinearizedN) under a drift cap that bounds the
-// linearization error, the DIMM bank collapses its first-order lag exactly
-// (mem.StepN), and the energy meters are charged from the closed-form
-// temperature sum — the same rectangle rule the fixed-dt path accumulates,
-// evaluated at the window's mean hottest-die temperature.
+// once leakage is linearized. The thermal network keeps that
+// linearization as an anchor (thermal.Network.Anchor) and advances it in
+// closed form under a drift cap that bounds the linearization error; the
+// DIMM bank collapses its first-order lag exactly (mem.StepN), and the
+// energy meters are charged from the closed-form temperature sum — the
+// same rectangle rule the fixed-dt path accumulates, evaluated at each
+// segment's mean hottest-die temperature.
 //
-// The caller owns controller scheduling: MacroStep never ticks a fan
+// The anchor outlives the window: a later window reuses it while every
+// input syncThermalInputs reads is bit-identical to the anchor's (see
+// anchorInputsCurrent) and the window starts within a quarter of the drift
+// tolerance of the anchor temperatures. Otherwise — and after any drift
+// stop — the window re-anchors at its current state.
+//
+// The caller owns controller scheduling: MacroWindow never ticks a fan
 // controller, so it must only be asked to span windows every controller
-// has promised to stay quiet for (control.HorizonPromiser). It falls back
-// to a single plain Step — the exact reference semantics — whenever a
-// window cannot be collapsed: RK4 integration, slewing fans (the airflow
-// conductances move every step), proximity to the thermal-trip threshold,
-// or a transient faster than the drift tolerance.
-func (s *Server) MacroStep(dt float64, maxSteps int) int {
-	if maxSteps > 1 && dt > 0 && s.macroEligible() {
-		if n := s.stepMacroCore(dt, maxSteps); n > 0 {
-			s.flushMacro(dt, n)
-			s.finishMacroWindow()
-			return n
-		}
-	}
-	s.Step(dt)
-	return 1
-}
-
-// MacroWindow advances the server through exactly `steps` fixed-dt steps —
-// the rack-level macro window — chaining closed-form sub-steps and falling
-// back to plain Steps where a sub-window cannot be collapsed. The
-// window-constant bookkeeping (DIMM lag, fan energy, peak sampling, the
-// power breakdown) is deferred to flush points instead of being repeated
-// per sub-step, which is what makes a transient-heavy window cheap. It
-// returns the maxima observed at sub-step boundaries for the rack's
-// temperature roll-ups.
+// has promised to stay quiet for (control.HorizonPromiser). Single-step
+// windows take one plain Step, and so does any step the closed form
+// cannot cover: RK4 integration, a dark or fault-pinned machine, slewing
+// fans (the airflow conductances move every step), proximity to the
+// thermal-trip threshold, or a transient faster than the drift tolerance.
+// The window-constant bookkeeping (DIMM lag, fan energy, peak sampling,
+// the power breakdown) is deferred to flush points instead of being
+// repeated per segment.
 func (s *Server) MacroWindow(dt float64, steps int) (maxDieC, maxDIMMC, maxInletC float64) {
 	maxDieC, maxDIMMC, maxInletC = -1e9, -1e9, -1e9
 	fold := func() {
@@ -85,18 +77,18 @@ func (s *Server) MacroWindow(dt float64, steps int) (maxDieC, maxDIMMC, maxInlet
 	// combinations that never exist on the reference path.
 	pendingMem := 0
 	for done := 0; done < steps; {
-		// A macro sub-window needs at least two steps to collapse; don't
-		// pay the linearization setup on pinned (single-step) windows.
-		if steps-done >= 2 {
+		// Single-step windows (pinned advances) keep the plain Step: the
+		// closed form cannot beat one matvec.
+		if steps >= 2 {
 			if s.macroEligible() {
-				if n := s.stepMacroCore(dt, steps-done); n > 0 {
+				if n := s.macroSegment(dt, steps-done); n > 0 {
 					done += n
 					pendingMem += n
 					fold()
 					continue
 				}
-				// Eligible but the doubling ladder refused its first level:
-				// a transient faster than the drift cap.
+				// Eligible, but a fresh anchor could not take one step: a
+				// transient faster than the drift cap, or no fixed point.
 				s.macroStats.PlainDrift++
 			} else {
 				s.countVetoPlain()
@@ -129,11 +121,12 @@ func (s *Server) MacroWindow(dt float64, steps int) (maxDieC, maxDIMMC, maxInlet
 // are read after the rack fan-out's barrier (rack.MetricsInto) and never
 // reset.
 type MacroStats struct {
-	// Anchors counts successful closed-form sub-windows: each one is a
-	// fresh linearization of the leakage feedback around the current die
-	// temperatures.
+	// Anchors counts fresh linearizations of the leakage feedback around
+	// the current die temperatures. A kept anchor serves every later
+	// segment whose inputs and start it admits, so this is usually far
+	// below the segment count.
 	Anchors int
-	// CollapsedSteps is the total fixed-dt steps those anchors absorbed.
+	// CollapsedSteps is the total fixed-dt steps taken in closed form.
 	CollapsedSteps int
 	// Plain-step fallbacks inside macro windows, split by the veto that
 	// forced them (checked in macroEligible's order).
@@ -141,15 +134,15 @@ type MacroStats struct {
 	PlainPinned     int // dark machine or active fault window (PinFixedDt)
 	PlainSlew       int // fans slewing: conductances move every step
 	PlainTripBand   int // within tripGuardC of CriticalTemp
-	PlainDrift      int // drift cap rejected the first doubling
-	PlainTail       int // odd single-step remainder of a window, no veto
+	PlainDrift      int // a fresh anchor refused its first step (drift cap, no fixed point)
+	PlainTail       int // single-step window, no veto
 }
 
 // MacroStats returns the lifetime attribution counters.
 func (s *Server) MacroStats() MacroStats { return s.macroStats }
 
 // PropagatorStats surfaces the thermal network's propagator-cache and
-// drift-ladder counters for the same roll-up.
+// drift-stop counters for the same roll-up.
 func (s *Server) PropagatorStats() thermal.PropagatorStats {
 	return s.net.PropagatorStats()
 }
@@ -170,8 +163,8 @@ func (s *Server) countVetoPlain() {
 }
 
 // macroEligible reports whether the server's state permits collapsing
-// steps at all (cheap checks; the drift cap inside stepMacroCore does the
-// quantitative one).
+// steps at all (cheap checks; the drift cap inside the anchored advance
+// does the quantitative one).
 func (s *Server) macroEligible() bool {
 	if s.cfg.ThermalIntegrator != thermal.IntegratorExact {
 		return false
@@ -188,21 +181,76 @@ func (s *Server) macroEligible() bool {
 	return float64(s.MaxCPUTemp()) < float64(s.cfg.CriticalTemp)-tripGuardC
 }
 
-// stepMacroCore attempts one closed-form sub-window: thermal state, clock
-// and the total-energy meter advance; DIMM lag, fan energy, peak and
-// breakdown refresh are left to flushMacro/finishMacroWindow. 0 means "not
-// collapsible here" with all state untouched.
-func (s *Server) stepMacroCore(dt float64, maxSteps int) int {
-	// Refresh boundary temperature, conductances and injected powers at the
-	// anchor temperatures — exactly what a plain step would apply.
+// macroDriftTol is the effective per-anchor drift cap: the configured
+// tolerance (default defaultMacroDriftTolC), never larger than the trip
+// guard. macroEligible admits anchors taken up to tripGuardC below
+// CriticalTemp, and every collapsed endpoint stays within the cap of its
+// anchor temperatures, so a cap at the guard band keeps it at or below the
+// threshold the per-step path checks every dt.
+func (s *Server) macroDriftTol() float64 {
+	tol := s.cfg.MacroDriftTolC
+	if tol <= 0 {
+		tol = defaultMacroDriftTolC
+	}
+	return math.Min(tol, tripGuardC)
+}
+
+// anchorKeyScalars is the number of scalar inputs at the head of the
+// anchor key; one utilization per socket follows them.
+const anchorKeyScalars = 8
+
+// anchorInputsCurrent reports whether every input syncThermalInputs reads
+// — dt, utilization (machine-wide and per socket), mean fan speed, ambient
+// including offsets, DVFS scales and throttle, powered — is bit-identical
+// to the inputs the live thermal anchor was taken under, and records the
+// current inputs as the key either way (a mismatch re-anchors under
+// them). The key shares the server's one macro allocation with the slope
+// vector.
+func (s *Server) anchorInputsCurrent(dt float64) bool {
+	m := s.net.NumNodes()
+	if need := m + anchorKeyScalars + len(s.dieNodes); len(s.macroBuf) != need {
+		s.macroBuf = make([]float64, need)
+	}
+	key := s.macroBuf[m:]
+	same := s.net.AnchorLive()
+	put := func(i int, v float64) {
+		if math.Float64bits(key[i]) != math.Float64bits(v) {
+			key[i] = v
+			same = false
+		}
+	}
+	put(0, dt)
+	put(1, float64(s.cpu.Utilization()))
+	put(2, float64(s.fans.MeanRPM()))
+	put(3, float64(s.cfg.Ambient))
+	put(4, s.freqScale)
+	put(5, s.voltScale)
+	put(6, boolKey(s.throttled))
+	put(7, boolKey(s.powered))
+	for i := range s.dieNodes {
+		u, _ := s.cpu.SocketUtilization(i)
+		put(anchorKeyScalars+i, float64(u))
+	}
+	return same
+}
+
+func boolKey(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// reanchor linearizes the leakage feedback around the current die
+// temperatures and hands the result to the thermal network as its kept
+// anchor, refreshing boundary temperature, conductances and injected
+// powers first — exactly what a plain step would apply.
+func (s *Server) reanchor(dt float64) bool {
 	s.syncThermalInputs()
 	m := s.net.NumNodes()
-	if len(s.macroSlopes) != m {
-		s.macroSlopes = make([]float64, m)
-		s.macroSums = make([]float64, m)
-	}
-	for i := range s.macroSlopes {
-		s.macroSlopes[i] = 0
+	slopes := s.macroBuf[:m]
+	for i := range slopes {
+		slopes[i] = 0
 	}
 	nSockets := float64(len(s.dieNodes))
 	lm := s.cfg.Power.Leakage
@@ -210,37 +258,56 @@ func (s *Server) stepMacroCore(dt float64, maxSteps int) int {
 		// dPleak/dT = K3·(Pleak − C) for the exponential model: reuse the
 		// (memoized) leakage evaluation instead of a second math.Exp.
 		leak := s.leakageAt(units.Celsius(s.net.Temp(die)))
-		s.macroSlopes[die] = lm.K3 * (leak - lm.C) * s.voltScale / nSockets
+		slopes[die] = lm.K3 * (leak - lm.C) * s.voltScale / nSockets
 	}
-	tol := s.cfg.MacroDriftTolC
-	if tol <= 0 {
-		tol = defaultMacroDriftTolC
+	if !s.net.Anchor(dt, slopes) {
+		return false
 	}
-	if tol > tripGuardC {
-		// Never let a configured tolerance outrun the trip guard:
-		// macroEligible admits windows starting up to tripGuardC below
-		// CriticalTemp, so a drift cap at the guard band keeps a collapsed
-		// window's endpoint at or below the threshold the per-step path
-		// checks every dt.
-		tol = tripGuardC
+	s.macroStats.Anchors++
+	return true
+}
+
+// macroSegment advances up to maxSteps steps on the kept anchor in one
+// closed-form segment, re-anchoring first when the inputs moved or no
+// anchor is live, and once more when the kept anchor refuses the start.
+// Thermal state, clock and the total-energy meter advance; DIMM lag, fan
+// energy, peak and breakdown refresh are left to flushMacro and
+// finishMacroWindow. 0 means "not collapsible here" with all state
+// untouched.
+func (s *Server) macroSegment(dt float64, maxSteps int) int {
+	tol := s.macroDriftTol()
+	fresh := false
+	if !s.anchorInputsCurrent(dt) {
+		if !s.reanchor(dt) {
+			return 0
+		}
+		fresh = true
 	}
-	n := s.net.StepLinearizedN(dt, maxSteps, s.macroSlopes, tol, s.macroSums)
+	n, sums := s.net.AdvanceAnchored(maxSteps, tol, tol/4)
+	if n == 0 && !fresh {
+		// The kept anchor is too far from this window's start (or drifted
+		// out on the first step): linearize here instead.
+		if !s.reanchor(dt) {
+			return 0
+		}
+		n, sums = s.net.AdvanceAnchored(maxSteps, tol, tol/4)
+	}
 	if n == 0 {
 		return 0
 	}
 	span := float64(n) * dt
 
 	// Energy: the fixed-dt path charges the post-step breakdown every step.
-	// All components except leakage are constant over the window, and
+	// All components except leakage are constant over the segment, and
 	// leakage is charged at the mean of the hottest die's post-step
 	// temperatures (for symmetric socket loads — the dispatcher's uniform
 	// spreading — the dies are identical and this is the exact mean; the
 	// curvature of the leakage exponential over ≤ tol of drift is the only
 	// deviation from the reference sums).
 	u := s.cpu.Utilization()
-	meanMax := s.macroSums[s.dieNodes[0]]
+	meanMax := sums[s.dieNodes[0]]
 	for _, die := range s.dieNodes[1:] {
-		if v := s.macroSums[die]; v > meanMax {
+		if v := sums[die]; v > meanMax {
 			meanMax = v
 		}
 	}
@@ -252,7 +319,6 @@ func (s *Server) stepMacroCore(dt float64, maxSteps int) int {
 	leakMean := float64(s.cfg.Power.Leakage.Power(units.Celsius(meanMax))) * s.voltScale
 	s.energy += units.Joules((constW + leakMean) * span)
 	s.clock += span
-	s.macroStats.Anchors++
 	s.macroStats.CollapsedSteps += n
 	return n
 }

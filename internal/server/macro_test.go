@@ -26,62 +26,70 @@ func macroPair(t *testing.T, mutate func(*Config)) (*Server, *Server) {
 	return a, b
 }
 
-// TestMacroStepMatchesFixedSteps drives one server through load changes
-// with macro windows and its twin with plain fixed steps: temperatures
-// stay within the drift tolerance and energies within 1e-6 relative.
+// runWindows advances srv through `total` steps in macro windows of
+// length `window` (the last one shorter).
+func runWindows(srv *Server, dt float64, total, window int) {
+	for done := 0; done < total; done += window {
+		srv.MacroWindow(dt, min(window, total-done))
+	}
+}
+
+// TestMacroStepMatchesFixedSteps drives one server through load levels
+// with macro windows (Server.MacroWindow) and its twin with plain fixed
+// steps: temperatures
+// stay within the drift tolerance and energies within 1e-6 relative,
+// whether one window spans the run or a kept anchor serves many.
 func TestMacroStepMatchesFixedSteps(t *testing.T) {
-	for _, load := range []units.Percent{0, 35, 70, 100} {
-		ev, ref := macroPair(t, nil)
-		ev.SetLoad(load)
-		ref.SetLoad(load)
-		const dt, window = 1.0, 900
-		for done := 0; done < window; {
-			done += ev.MacroStep(dt, window-done)
-		}
-		for k := 0; k < window; k++ {
-			ref.Step(dt)
-		}
-		if d := math.Abs(float64(ev.MaxCPUTemp() - ref.MaxCPUTemp())); d > 0.05 {
-			t.Fatalf("load %v: endpoint die temp off by %g °C", load, d)
-		}
-		de := math.Abs(float64(ev.Energy()-ref.Energy())) / float64(ref.Energy())
-		if de > 1e-6 {
-			t.Fatalf("load %v: energy off by %g relative (macro %v vs fixed %v)",
-				load, de, ev.Energy(), ref.Energy())
-		}
-		// Fan power is constant with settled fans, so the only difference is
-		// float summation order (few big adds vs many small ones).
-		if d := math.Abs(float64(ev.FanEnergy()-ref.FanEnergy())) / float64(ref.FanEnergy()); d > 1e-12 {
-			t.Fatalf("load %v: fan energy off by %g relative: %v vs %v",
-				load, d, ev.FanEnergy(), ref.FanEnergy())
-		}
-		if d := math.Abs(float64(ev.Memory().MaxTemp() - ref.Memory().MaxTemp())); d > 1e-9 {
-			t.Fatalf("load %v: DIMM endpoint off by %g °C", load, d)
-		}
-		if ev.Now() != ref.Now() {
-			t.Fatalf("clocks diverged: %g vs %g", ev.Now(), ref.Now())
+	for _, window := range []int{900, 60, 7} {
+		for _, load := range []units.Percent{0, 35, 70, 100} {
+			ev, ref := macroPair(t, nil)
+			ev.SetLoad(load)
+			ref.SetLoad(load)
+			const dt, total = 1.0, 900
+			runWindows(ev, dt, total, window)
+			for k := 0; k < total; k++ {
+				ref.Step(dt)
+			}
+			if d := math.Abs(float64(ev.MaxCPUTemp() - ref.MaxCPUTemp())); d > 0.05 {
+				t.Fatalf("window %d load %v: endpoint die temp off by %g °C", window, load, d)
+			}
+			de := math.Abs(float64(ev.Energy()-ref.Energy())) / float64(ref.Energy())
+			if de > 1e-6 {
+				t.Fatalf("window %d load %v: energy off by %g relative (macro %v vs fixed %v)",
+					window, load, de, ev.Energy(), ref.Energy())
+			}
+			// Fan power is constant with settled fans, so the only difference
+			// is float summation order (few big adds vs many small ones).
+			if d := math.Abs(float64(ev.FanEnergy()-ref.FanEnergy())) / float64(ref.FanEnergy()); d > 1e-12 {
+				t.Fatalf("window %d load %v: fan energy off by %g relative: %v vs %v",
+					window, load, d, ev.FanEnergy(), ref.FanEnergy())
+			}
+			if d := math.Abs(float64(ev.Memory().MaxTemp() - ref.Memory().MaxTemp())); d > 1e-9 {
+				t.Fatalf("window %d load %v: DIMM endpoint off by %g °C", window, load, d)
+			}
+			if ev.Now() != ref.Now() {
+				t.Fatalf("clocks diverged: %g vs %g", ev.Now(), ref.Now())
+			}
 		}
 	}
 }
 
-// TestMacroStepLoadTransient exercises the harder case: a cold server hit
-// with a big load step mid-run, so the macro path must refine through the
-// fast transient before collapsing the tail.
+// TestMacroStepLoadTransient exercises the harder case: a cold server
+// hit with a big load step mid-run, so the kept anchor must drift-stop and
+// re-anchor through the fast transient before collapsing the tail.
 func TestMacroStepLoadTransient(t *testing.T) {
 	ev, ref := macroPair(t, nil)
-	phase := func(load units.Percent, secs int) {
+	phase := func(load units.Percent, secs, window int) {
 		ev.SetLoad(load)
 		ref.SetLoad(load)
-		for done := 0; done < secs; {
-			done += ev.MacroStep(1, secs-done)
-		}
+		runWindows(ev, 1, secs, window)
 		for k := 0; k < secs; k++ {
 			ref.Step(1)
 		}
 	}
-	phase(90, 600)
-	phase(10, 600)
-	phase(65, 900)
+	phase(90, 600, 600)
+	phase(10, 600, 45)
+	phase(65, 900, 128)
 	de := math.Abs(float64(ev.Energy()-ref.Energy())) / float64(ref.Energy())
 	if de > 1e-6 {
 		t.Fatalf("transient energy off by %g relative", de)
@@ -92,41 +100,77 @@ func TestMacroStepLoadTransient(t *testing.T) {
 	if ev.PeakPower() < ref.PeakPower()-1 {
 		t.Fatalf("macro peak %v undershoots fixed peak %v by >1 W", ev.PeakPower(), ref.PeakPower())
 	}
+	if ev.PropagatorStats().DriftStops == 0 {
+		t.Fatal("a 90% load step from cold never hit the drift cap")
+	}
 }
 
-// TestMacroStepFallbacks: slewing fans and RK4 integration must advance
-// exactly one plain step.
+// TestMacroStepFallbacks: slewing fans and RK4 integration take plain
+// steps, attributed to their veto, and never anchor; a single-step window
+// is a plain tail step.
 func TestMacroStepFallbacks(t *testing.T) {
 	srv, _ := macroPair(t, nil)
 	srv.SetLoad(50)
 	srv.Step(1) // settle the fan bank bookkeeping
 	srv.Fans().SetAll(srv.Fans().Target() + 600)
-	if n := srv.MacroStep(1, 100); n != 1 {
-		t.Fatalf("slewing fans must pin to single steps, got %d", n)
+	srv.MacroWindow(1, 2)
+	if ms := srv.MacroStats(); ms.PlainSlew < 1 || ms.PlainSlew+ms.CollapsedSteps != 2 {
+		t.Fatalf("slewing fans must pin to plain steps until settled: %+v", ms)
 	}
 
 	rk, _ := macroPair(t, func(c *Config) { c.ThermalIntegrator = thermal.IntegratorRK4 })
 	rk.SetLoad(50)
-	if n := rk.MacroStep(1, 100); n != 1 {
-		t.Fatalf("RK4 servers must pin to single steps, got %d", n)
+	rk.MacroWindow(1, 100)
+	if ms := rk.MacroStats(); ms.PlainIntegrator != 100 || ms.Anchors != 0 || ms.CollapsedSteps != 0 {
+		t.Fatalf("RK4 servers must pin to plain steps: %+v", ms)
+	}
+
+	one, _ := macroPair(t, nil)
+	one.MacroWindow(1, 1)
+	if ms := one.MacroStats(); ms.PlainTail != 1 || ms.Anchors != 0 {
+		t.Fatalf("a single-step window must be one plain tail step: %+v", ms)
 	}
 }
 
-// TestMacroStepCollapsesQuietTail: once settled, a long quiet window must
-// cost a handful of macro calls, not one per dt.
+// TestMacroStepCollapsesQuietTail: once settled, an hour of one-minute
+// macro windows runs on a handful of kept anchors rather than one (or
+// more) per window; a changed input re-anchors.
 func TestMacroStepCollapsesQuietTail(t *testing.T) {
 	srv, _ := macroPair(t, nil)
 	srv.SetLoad(40)
 	for k := 0; k < 1200; k++ {
 		srv.Step(1) // settle near steady state
 	}
-	calls := 0
-	for done := 0; done < 3600; {
-		done += srv.MacroStep(1, 3600-done)
-		calls++
+	runWindows(srv, 1, 3600, 60)
+	ms := srv.MacroStats()
+	if ms.Anchors > 3 || ms.CollapsedSteps != 3600 {
+		t.Fatalf("a settled hour of 60 windows took %d anchors for %d collapsed steps, want ≤ 3 for 3600",
+			ms.Anchors, ms.CollapsedSteps)
 	}
-	if calls > 6 {
-		t.Fatalf("a settled hour took %d macro calls, want ≤ 6 (power-of-two windows)", calls)
+	srv.SetLoad(41)
+	srv.MacroWindow(1, 60)
+	if got := srv.MacroStats().Anchors; got != ms.Anchors+1 {
+		t.Fatalf("a load change must re-anchor once: anchors %d → %d", ms.Anchors, got)
+	}
+}
+
+// TestMacroWindowResumesAnchor: a server restored mid-run from State —
+// with its anchor live — continues bit-identically to the original.
+func TestMacroWindowResumesAnchor(t *testing.T) {
+	a, b := macroPair(t, nil)
+	a.SetLoad(60)
+	runWindows(a, 1, 1500, 50)
+	if !a.net.AnchorLive() {
+		t.Fatal("no live anchor to carry over")
+	}
+	if err := b.SetState(a.State()); err != nil {
+		t.Fatal(err)
+	}
+	runWindows(a, 1, 900, 30)
+	runWindows(b, 1, 900, 30)
+	if a.Energy() != b.Energy() || a.MaxCPUTemp() != b.MaxCPUTemp() || a.MacroStats() != b.MacroStats() {
+		t.Fatalf("resumed server diverged: energy %v vs %v, die %v vs %v, stats %+v vs %+v",
+			a.Energy(), b.Energy(), a.MaxCPUTemp(), b.MaxCPUTemp(), a.MacroStats(), b.MacroStats())
 	}
 }
 
@@ -143,18 +187,29 @@ func TestStepAllocationFree(t *testing.T) {
 	}
 }
 
-// TestMacroStepAllocationFree: the closed-form window reuses its scratch
-// after the first call.
+// TestMacroStepAllocationFree: the kept anchor and the server's key live
+// in buffers sized on first use, so macro windows — reused anchors and
+// re-anchors alike — allocate nothing at steady state.
 func TestMacroStepAllocationFree(t *testing.T) {
 	srv, _ := macroPair(t, nil)
 	srv.SetLoad(70)
 	for k := 0; k < 1200; k++ {
 		srv.Step(1)
 	}
+	window := func() { srv.MacroWindow(1, 300) } // same key: reused anchor
 	for i := 0; i < 4; i++ {
-		srv.MacroStep(1, 1<<20) // size the macro scratch
+		window() // size the anchor buffers
 	}
-	if avg := testing.AllocsPerRun(100, func() { srv.MacroStep(1, 1<<20) }); avg != 0 {
-		t.Fatalf("Server.MacroStep allocates %.1f objects/op at steady state, want 0", avg)
+	if avg := testing.AllocsPerRun(100, window); avg != 0 {
+		t.Fatalf("Server.MacroWindow allocates %.1f objects/op at steady state, want 0", avg)
+	}
+	load := units.Percent(70)
+	flip := func() {
+		load = 110 - load // 70 ↔ 40: every window re-anchors
+		srv.SetLoad(load)
+		srv.MacroWindow(1, 300)
+	}
+	if avg := testing.AllocsPerRun(100, flip); avg != 0 {
+		t.Fatalf("re-anchoring MacroWindow allocates %.1f objects/op, want 0", avg)
 	}
 }

@@ -70,13 +70,7 @@ func (s *Server) BandDecisionHorizon(dt float64, first, stride, maxChecks int, l
 	for i := 0; i < m; i++ {
 		s.predTemps[i] = s.net.Temp(thermal.NodeID(i))
 	}
-	tol := s.cfg.MacroDriftTolC
-	if tol <= 0 {
-		tol = defaultMacroDriftTolC
-	}
-	if tol > tripGuardC {
-		tol = tripGuardC
-	}
+	tol := s.macroDriftTol()
 
 	verified := 0
 	reached := 0 // grid steps walked from now
@@ -110,7 +104,7 @@ func (s *Server) BandDecisionHorizon(dt float64, first, stride, maxChecks int, l
 
 // fillPredictInputs computes the injected node powers and leakage feedback
 // slopes at the *predicted* die temperatures in predTemps — the prediction
-// twin of syncThermalInputs + stepMacroCore's slope pass, evaluated on the
+// twin of syncThermalInputs + reanchor's slope pass, evaluated on the
 // model directly (anchor temperatures are hypothetical, so the live memo
 // must not be polluted). Sink nodes inject nothing; utilization, DVFS and
 // fan speed are window-constant by the promise contract.

@@ -65,9 +65,10 @@ type Server struct {
 
 	sensorBuf []units.Celsius // reused by AppendCPUTempSensors
 
-	// Macro-step scratch (event-stepping kernel), reused across calls.
-	macroSlopes []float64
-	macroSums   []float64
+	// Macro-window state (event-stepping kernel), one allocation: the
+	// leakage slope vector a re-anchor hands the thermal network, then the
+	// key of inputs the live anchor was taken under (macro.go).
+	macroBuf []float64
 
 	// Band-prediction scratch (BandDecisionHorizon), reused across calls.
 	predTemps  []float64

@@ -15,9 +15,13 @@ import (
 // State is the serializable mutable state of a Server: the child-subsystem
 // states plus every run-scoped scalar. AmbientOffset is stored relative to
 // the construction-time base so a restore composes with the configuration
-// the fresh server was built from. The leakage memo, sensor buffer, macro
-// scratch and power breakdown are derived state — restore invalidates or
-// recomputes them, bit-identically, from the restored inputs.
+// the fresh server was built from. AnchorKey is the input key of the
+// thermal network's kept anchor (Net carries the anchor itself; both are
+// empty when none is live): without it a resumed run would re-anchor
+// where the uninterrupted one reuses, and drift apart in the last bits.
+// The leakage memo, sensor buffer, slope scratch and power breakdown are
+// derived state — restore invalidates or recomputes them, bit-identically,
+// from the restored inputs.
 type State struct {
 	CPU   cpupkg.State
 	Mem   mem.State
@@ -39,11 +43,16 @@ type State struct {
 	VoltScale float64
 	Throttled bool
 
-	Macro MacroStats
+	Macro     MacroStats
+	AnchorKey []float64
 }
 
 // State captures the server for a checkpoint.
 func (s *Server) State() State {
+	var key []float64
+	if s.net.AnchorLive() {
+		key = append(key, s.macroBuf[s.net.NumNodes():]...)
+	}
 	return State{
 		CPU:            s.cpu.State(),
 		Mem:            s.mem.State(),
@@ -62,6 +71,7 @@ func (s *Server) State() State {
 		VoltScale:      s.voltScale,
 		Throttled:      s.throttled,
 		Macro:          s.macroStats,
+		AnchorKey:      key,
 	}
 }
 
@@ -94,6 +104,15 @@ func (s *Server) SetState(st State) error {
 	s.voltScale = st.VoltScale
 	s.throttled = st.Throttled
 	s.macroStats = st.Macro
+	if key := st.AnchorKey; len(key) > 0 || s.net.AnchorLive() {
+		if want := anchorKeyScalars + len(s.dieNodes); len(key) != want || !s.net.AnchorLive() {
+			return fmt.Errorf("server: anchor key has %d entries (want %d) for thermal anchor live=%v",
+				len(key), want, s.net.AnchorLive())
+		}
+		m := s.net.NumNodes()
+		s.macroBuf = make([]float64, m+len(key))
+		copy(s.macroBuf[m:], key)
+	}
 	s.leakValid = false
 	s.syncThermalInputs()
 	s.updateBreakdown()

@@ -11,8 +11,11 @@ import (
 )
 
 // Version is the snapshot format version this build reads and writes. See
-// the package comment for the bump policy.
-const Version uint32 = 1
+// the package comment for the bump policy. Version 2 added the kept
+// thermal anchors (thermal.State.Anchor*, server.State.AnchorKey): a
+// version-1 snapshot decodes them as absent, and resuming without them
+// re-anchors where the uninterrupted run reuses, so it is refused.
+const Version uint32 = 2
 
 // magic identifies a snapshot file; 8 bytes so the header is a fixed 12.
 var magic = [8]byte{'R', 'E', 'P', 'R', 'O', 'S', 'N', 'P'}

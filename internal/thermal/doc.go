@@ -55,14 +55,20 @@
 //
 // # Macro-stepping
 //
-// StepLinearizedN serves the event-driven kernel (internal/sched): with
-// constant inputs and the temperature-dependent heat sources linearized
-// around the current state (per-node feedback slopes), K consecutive
-// fixed-dt steps are one affine map applied K times, which collapses into
-// O(log K) small matrix products via a doubling ladder. The ladder also
-// returns the running temperature sum Σ T_k, turning the per-step
-// rectangle-rule energy accounting into a closed form, and caps the
-// per-window temperature drift so the linearization error stays bounded;
-// windows that would drift past the cap shrink or fall back to plain
-// stepping. See macro.go for the algebra.
+// Anchor and AdvanceAnchored serve the event-driven kernel
+// (internal/sched): with constant inputs and the temperature-dependent
+// heat sources linearized around anchor temperatures T₀ (per-node feedback
+// slopes), K consecutive fixed-dt steps are one affine map M·T + c applied
+// K times. The network keeps that linearization — M, c, T₀, the LU
+// factors of I − M and the fixed point T* = (I − M)⁻¹·c, plus the
+// squared powers M^(2^j) up to a capped depth — so T_K = T* + M^K·(x − T*)
+// composes from K's binary digits for any start x, and the running
+// temperature sum Σ T_k, which turns the per-step rectangle-rule energy
+// accounting into a closed form, costs one triangular solve. Every segment
+// endpoint is drift-checked against T₀, which bounds the linearization
+// error; a breach, or a start too far from T₀, retires the anchor and the
+// caller re-anchors. A singular or non-finite I − M yields no anchor and
+// the caller steps plainly. The anchor lives in one allocation and rides
+// through State/SetState as (T₀, M, c), from which restore re-derives the
+// rest bit-identically. See macro.go for the algebra.
 package thermal

@@ -91,13 +91,15 @@ type Network struct {
 	propBuilds int           // lifetime build count, observable in tests
 	propHits   int           // lifetime cache hits (fast or slow path)
 	propMisses int           // lifetime lookup failures (each triggers a build)
-	driftStops int           // macro doubling ladders cut short by the drift cap
+	driftStops int           // anchored advances stopped or refused by the drift checks
 	condGen    uint64        // bumped whenever any link conductance changes
-	u, next    []float64     // exact-step scratch, sized at node addition
+	u, next    []float64     // exact-step (and anchored-advance) scratch, sized at node addition
 
-	macro macroScratch // linearized macro-step work buffers
+	anc  anchor    // kept leakage linearization (macro.go)
+	pred []float64 // PredictLinearized scratch, sized on first use
 
-	// RK4 integration scratch
+	// RK4 integration scratch (state and scratch[0] double as
+	// anchored-advance work vectors)
 	state   []float64
 	scratch [][]float64
 	maxStep float64
@@ -132,7 +134,8 @@ func (n *Network) IntegratorInUse() Integrator { return n.integrator }
 // stays warm for when the fans switch back.
 func (n *Network) invalidate() {
 	n.props = n.props[:0]
-	n.condGen++ // the conductance vector changed meaning, not just value
+	n.anc.live = false // M was built for the old topology
+	n.condGen++        // the conductance vector changed meaning, not just value
 	n.sizeScratch()
 }
 
@@ -321,11 +324,8 @@ func (n *Network) Step(dt float64) {
 // if the propagator could not be built (the caller then falls back to RK4).
 func (n *Network) stepExact(dt float64) bool {
 	m := len(n.nodes)
-	p := n.lookupPropagator(dt)
+	p := n.exactPropagator(dt)
 	if p == nil {
-		p = n.buildPropagator(dt)
-	}
-	if p.failed {
 		return false // a doomed operating point stays on RK4 until its key changes
 	}
 	// Affine input u = C⁻¹·(P + Σ g_b·T_b); power and boundary temperature
@@ -354,6 +354,19 @@ func (n *Network) stepExact(dt float64) bool {
 		n.nodes[i].temp = n.next[i]
 	}
 	return true
+}
+
+// exactPropagator returns the propagator for step h — cached, or built
+// and cached on a miss — or nil when its build failed.
+func (n *Network) exactPropagator(h float64) *propagator {
+	p := n.lookupPropagator(h)
+	if p == nil {
+		p = n.buildPropagator(h)
+	}
+	if p.failed {
+		return nil
+	}
+	return p
 }
 
 // lookupPropagator returns the cached entry matching the current

@@ -15,14 +15,14 @@ package thermal
 // state. temps holds the anchor temperatures on entry (len NumNodes) and
 // is overwritten with the temperatures actually reached; powers must be
 // the true injected node powers at the anchor temperatures and slopes the
-// per-node dP/dT feedback there (both as StepLinearizedN documents).
+// per-node dP/dT feedback there (both as Anchor documents).
 // Boundary temperatures and link conductances are read from the network's
 // current (synced) state — they are window-constant between scheduling
 // events, which is the only regime this is called in.
 //
 // The walk stops early when the next step would move any node more than
 // driftCap from the anchor — the caller re-anchors with fresh powers and
-// slopes, mirroring the macro ladder's drift-capped re-linearization — and
+// slopes, mirroring the kept anchor's drift-capped re-linearization — and
 // returns the number of steps advanced (0 when the very first step
 // breaches the cap, the integrator is not exact, or the propagator cannot
 // be built; temps is then unchanged).
@@ -34,53 +34,29 @@ func (n *Network) PredictLinearized(dt float64, maxSteps int, temps, powers, slo
 	if len(temps) != m || len(powers) != m || len(slopes) != m || driftCap <= 0 {
 		return 0
 	}
-	p := n.lookupPropagator(dt)
+	p := n.exactPropagator(dt)
 	if p == nil {
-		p = n.buildPropagator(dt)
-	}
-	if p.failed {
 		return 0
 	}
-	// Reuse the macro scratch: predictions and macro steps never interleave
-	// mid-call (both run to completion on the goroutine stepping this
-	// network) and neither keeps scratch state across calls.
-	s := &n.macro
-	s.size(m)
+	// Own scratch, not the kept anchor's: a prediction linearizes around
+	// hypothetical temperatures and must leave the live anchor intact.
+	if len(n.pred) != m*m+4*m {
+		n.pred = make([]float64, m*m+4*m)
+	}
+	step, v := n.pred[:m*m], n.pred[m*m:] // M at the caller's anchor, then vectors
+	c, t0, tn, tc := v[:m], v[m:2*m], v[2*m:3*m], v[3*m:]
+	copy(t0, temps)
+	copy(tn, powers)
+	n.linearize(p, t0, slopes, step, c, tn)
 
-	// One-step map M = Ad + Phi·C⁻¹·S and affine term
-	// c = Phi·C⁻¹·(P − S·T₀ + Σ g_b·T_b), assembled exactly as
-	// StepLinearizedN assembles them — anchored at the caller's temps and
-	// powers instead of the live node state.
-	for j := 0; j < m; j++ {
-		s.vtmp[j] = slopes[j] / n.nodes[j].capac
-	}
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			s.step[i*m+j] = p.ad[i*m+j] + p.phi[i*m+j]*s.vtmp[j]
-		}
-	}
-	for i := 0; i < m; i++ {
-		s.t0[i] = temps[i]
-		s.tn[i] = powers[i] - slopes[i]*temps[i]
-	}
-	for _, l := range n.links {
-		if l.toBoundary {
-			s.tn[l.a] += l.g * n.boundaries[l.bBound].temp
-		}
-	}
-	for i := range s.tn {
-		s.tn[i] /= n.nodes[i].capac
-	}
-	matVecInto(s.c, p.phi, s.tn, m)
-
-	copy(s.tn, s.t0)
+	copy(tn, t0)
 	steps := 0
 	for steps < maxSteps {
-		matVecInto(s.tc, s.step, s.tn, m)
+		matVecInto(tc, step, tn, m)
 		ok := true
 		for i := 0; i < m; i++ {
-			s.tc[i] += s.c[i]
-			d := s.tc[i] - s.t0[i]
+			tc[i] += c[i]
+			d := tc[i] - t0[i]
 			if d < 0 {
 				d = -d
 			}
@@ -91,11 +67,11 @@ func (n *Network) PredictLinearized(dt float64, maxSteps int, temps, powers, slo
 		if !ok {
 			break
 		}
-		copy(s.tn, s.tc)
+		copy(tn, tc)
 		steps++
 	}
 	if steps > 0 {
-		copy(temps, s.tn)
+		copy(temps, tn)
 	}
 	return steps
 }

@@ -18,16 +18,26 @@ type PropEntry struct {
 
 // State is the serializable mutable state of a Network built from a fixed
 // topology: temperatures, injected powers, boundary temperatures, link
-// conductances, the propagator-cache keys in LRU order, and the lifetime
-// cache counters. Restoring rebuilds every cached propagator and then
-// overwrites the counters, so post-resume metrics dumps match the
-// uninterrupted run exactly (the rebuilds themselves are not charged).
+// conductances, the propagator-cache keys in LRU order, the kept
+// linearization anchor, and the lifetime cache counters. Restoring
+// rebuilds every cached propagator and then overwrites the counters, so
+// post-resume metrics dumps match the uninterrupted run exactly (the
+// rebuilds themselves are not charged).
+//
+// The anchor is carried as its defining inputs — T₀, M and c, all empty
+// when no anchor is live — and restore re-derives the LU factors, the
+// fixed point and the squared levels through the same code path a fresh
+// anchor uses, so the resumed anchor is bit-identical and splits every
+// later window into the same segments.
 type State struct {
 	Temps        []float64
 	PowerIn      []float64
 	Boundaries   []float64
 	Conductances []float64
 	Props        []PropEntry
+	AnchorT0     []float64
+	AnchorM      []float64
+	AnchorC      []float64
 	Stats        PropagatorStats
 }
 
@@ -53,6 +63,11 @@ func (n *Network) State() State {
 	for _, p := range n.props {
 		st.Props = append(st.Props, PropEntry{H: p.h, Gs: append([]float64(nil), p.gs...)})
 	}
+	if a := &n.anc; a.live {
+		st.AnchorT0 = append([]float64(nil), a.t0...)
+		st.AnchorM = append([]float64(nil), a.mat...)
+		st.AnchorC = append([]float64(nil), a.c...)
+	}
 	return st
 }
 
@@ -71,6 +86,12 @@ func (n *Network) SetState(st State) error {
 	}
 	if len(st.Props) > propCacheSize {
 		return fmt.Errorf("thermal: state has %d cached propagators, cache holds %d", len(st.Props), propCacheSize)
+	}
+	m := len(n.nodes)
+	live := len(st.AnchorT0) > 0 || len(st.AnchorM) > 0 || len(st.AnchorC) > 0
+	if live && (len(st.AnchorT0) != m || len(st.AnchorM) != m*m || len(st.AnchorC) != m) {
+		return fmt.Errorf("thermal: anchor has %d/%d/%d entries, network needs %d/%d/%d",
+			len(st.AnchorT0), len(st.AnchorM), len(st.AnchorC), m, m*m, m)
 	}
 	for i := range n.nodes {
 		n.nodes[i].temp = st.Temps[i]
@@ -91,6 +112,17 @@ func (n *Network) SetState(st State) error {
 	for i := len(st.Props) - 1; i >= 0; i-- {
 		if err := n.restorePropagator(st.Props[i]); err != nil {
 			return err
+		}
+	}
+	n.anc.live = false
+	if live {
+		a := &n.anc
+		a.size(m)
+		copy(a.t0, st.AnchorT0)
+		copy(a.mat, st.AnchorM)
+		copy(a.c, st.AnchorC)
+		if !a.factor() {
+			return fmt.Errorf("thermal: restored anchor has a singular or non-finite I − M")
 		}
 	}
 	n.propHits = st.Stats.Hits

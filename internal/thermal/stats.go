@@ -1,6 +1,6 @@
 package thermal
 
-// PropagatorStats are the network's lifetime cache-and-ladder counters,
+// PropagatorStats are the network's lifetime cache-and-anchor counters,
 // fed into the run-metrics registry (internal/obs) by rack.MetricsInto.
 // They are plain ints bumped from the single goroutine that steps the
 // network, so reading them is only safe after the stepping fan-out's
@@ -13,9 +13,10 @@ type PropagatorStats struct {
 	Misses int
 	// Builds is the lifetime propagator build count (rebuilds included).
 	Builds int
-	// DriftStops counts macro doubling ladders cut short by the drift cap
-	// rather than the window bound — each one forces the caller to
-	// re-anchor its linearization sooner than the event kernel asked for.
+	// DriftStops counts anchored advances the drift checks stopped short of
+	// the window bound or refused outright (a start too far from the
+	// anchor temperatures) — each one forces the caller to re-anchor its
+	// linearization.
 	DriftStops int
 }
 
