@@ -9,29 +9,27 @@ import (
 	"strings"
 
 	"repro/internal/obs"
-	"repro/internal/room"
 	"repro/internal/sched"
 )
 
-// pinTable names one kernel's pin-reason counters: the metric prefix, the
-// taxonomy in attribution order, and the counters of the Σ pins identity.
+// pinTable names one scope's pin-reason counters: the metric prefix and
+// the counters of the Σ pins identity. The reasons themselves are the one
+// taxonomy, sched.PinReasonNames, in attribution-priority order.
 type pinTable struct {
-	what     string   // "rack" or "room", for the headings
-	prefix   string   // pin counter prefix, e.g. "kernel.pin."
-	names    []string // reasons in attribution-priority order
-	advances string   // per-rack advances counter (single steps and windows)
-	windows  string   // macro windows counter
-	grid     string   // fixed-dt steps crossed counter
+	what     string // "rack" or "room", for the headings
+	prefix   string // pin counter prefix, e.g. "kernel.pin."
+	advances string // per-rack advances counter (single steps and windows)
+	windows  string // macro windows counter
+	grid     string // fixed-dt steps crossed counter
 }
 
-// rackPins and roomPins are the two kernels' tables: -rack, -facility and
-// -faults run the rack trace kernel; -room runs the room kernel, whose
-// per-rack sub-kernels advance in chunks.
+// rackPins and roomPins are the two scopes of the one trace kernel and its
+// one pin taxonomy: -rack, -facility and -faults run racks (kernel.*
+// counters); -room runs a room (room.* counters), whose racks advance in
+// chunks inside each global segment.
 var (
-	rackPins = pinTable{"rack", "kernel.pin.", sched.PinReasonNames(),
-		"kernel.steps.total", "kernel.windows.macro", "kernel.grid.steps"}
-	roomPins = pinTable{"room", "room.pin.", room.PinReasonNames(),
-		"room.rack.steps.total", "room.windows.macro", "room.grid.steps"}
+	rackPins = pinTable{"rack", "kernel.pin.", "kernel.steps.total", "kernel.windows.macro", "kernel.grid.steps"}
+	roomPins = pinTable{"room", "room.pin.", "room.rack.steps.total", "room.windows.macro", "room.grid.steps"}
 )
 
 // printMetrics renders the run-metrics registry after an experiment: the
@@ -51,7 +49,7 @@ func printMetrics(w io.Writer, reg *obs.Registry, pt pinTable) {
 	}
 	fmt.Fprintf(w, "\nPin-reason breakdown (why the %s kernel advanced one step instead of a macro window):\n", pt.what)
 	var sum int64
-	for _, name := range pt.names {
+	for _, name := range sched.PinReasonNames() {
 		v := vals[pt.prefix+name]
 		sum += v
 		fmt.Fprintf(w, "  %-12s %10d\n", name, v)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/lut"
-	"repro/internal/rack"
 	"repro/internal/sched"
 	"repro/internal/units"
 )
@@ -122,12 +121,6 @@ func (p *Policy) loadOnly() bool {
 // chooser filters on.
 func rackFits(v RackView, j sched.Job) bool {
 	return !v.Blocked && v.Healthy > 0 && v.MaxFree >= j.Demand
-}
-
-// slotFits mirrors the sched policies' candidate predicate for pricing
-// slots inside a rack view.
-func slotFits(v sched.ServerView, j sched.Job) bool {
-	return v.Health == rack.Healthy && v.Free >= j.Demand
 }
 
 // ---------------------------------------------------------------------------
@@ -276,7 +269,7 @@ func (p *MinCostRack) Reset() {}
 func minSlotCost(ts []*lut.Table, v RackView, j sched.Job) (units.Watts, bool) {
 	best, ok := units.Watts(0), false
 	for _, sv := range v.Slots {
-		if !slotFits(sv, j) || sv.Index >= len(ts) || ts[sv.Index] == nil {
+		if !sched.Fits(sv, j) || sv.Index >= len(ts) || ts[sv.Index] == nil {
 			continue
 		}
 		cost, err := sched.SteadyFanLeakMarginal(ts[sv.Index], sv.Load, j.Demand)

@@ -214,17 +214,6 @@ func (rm *Room) PUE() float64 {
 	return (rm.lastWallW + rm.lastCoolW) / rm.lastWallW
 }
 
-// TripRisk reports whether any rack has a live slot inside the trip-guard
-// band (see rack.TripRisk) — the room kernel's global single-step pin.
-func (rm *Room) TripRisk() bool {
-	for _, rk := range rm.racks {
-		if rk.TripRisk() {
-			return true
-		}
-	}
-	return false
-}
-
 // Step advances every rack by dt seconds: the per-rack work — each rack's
 // own serial per-server loop — fans out over the bounded pool (rack-i
 // contract), then every room-level reduction and the recirculation
@@ -233,27 +222,25 @@ func (rm *Room) Step(dt float64) {
 	if dt <= 0 {
 		return
 	}
-	rm.beginSegment()
 	rm.argDt = dt
-	par.ForEach(len(rm.racks), rm.workers, rm.stepFn)
-	rm.endSegment(dt, 1)
+	rm.Segment(dt, 1, rm.stepFn)
 }
 
-// beginSegment captures every rack's wall meter so endSegment can derive
-// the segment's heat from meter deltas — exact for both the per-step and
-// the macro-window rack paths.
-func (rm *Room) beginSegment() {
+// Segment crosses `steps` grid steps of dt: cross(i), which must write
+// only rack i's state, fans out over the racks, then the serial barrier
+// runs in rack-index order. The segment's heat is derived from the rack
+// wall meters' deltas — exact for both the per-step and the macro-window
+// rack paths.
+func (rm *Room) Segment(dt float64, steps int, cross func(i int)) {
 	for i, rk := range rm.racks {
 		rm.wallE0[i] = rk.WallEnergyJoules()
 	}
-}
+	par.ForEach(len(rm.racks), rm.workers, cross)
 
-// endSegment runs the serial post-barrier phase of a segment spanning
-// `steps` grid steps of dt: room energy integration (heat from rack wall
-// meter deltas; cooling from the shared bank at the segment's mean room
-// load), endpoint peak sampling, the room clock, and the recirculation
-// re-anchor.
-func (rm *Room) endSegment(dt float64, steps int) {
+	// The serial barrier: room energy integration (heat from the rack wall
+	// meter deltas; cooling from the shared bank at the segment's mean room
+	// load), endpoint peak sampling, the room clock, and the recirculation
+	// re-anchor.
 	span := dt * float64(steps)
 	var heatSegJ float64
 	for i, rk := range rm.racks {

@@ -133,12 +133,13 @@ func (c *Cancelled) Error() string {
 
 func (c *Cancelled) Unwrap() error { return c.Err }
 
-// Diverged is the error the NaN/Inf guard returns when the rack's folded
-// state sum goes non-finite after an advance: the physics has left the
-// representable regime (a bad parameterization or a genuine bug), and
+// Diverged is the error the NaN/Inf guard returns when the folded state
+// sum of the racks goes non-finite after an advance: the physics has left
+// the representable regime (a bad parameterization or a genuine bug), and
 // continuing would only smear NaNs through every meter. Checkpoint is a
-// diagnostic snapshot at the failing boundary — inspectable, but carrying
-// the non-finite state, so it is not a sane resume point.
+// diagnostic snapshot at the failing boundary of a rack run — inspectable,
+// but carrying the non-finite state, so it is not a sane resume point —
+// and zero for a plant run, which has no checkpoints.
 type Diverged struct {
 	Step       int     // grid step after which the divergence was detected
 	StateSum   float64 // the poisoned rack.StateSum fold
@@ -147,14 +148,14 @@ type Diverged struct {
 }
 
 func (d *Diverged) Error() string {
-	return fmt.Sprintf("sched: non-finite rack state after step %d (state sum %g, DC %g W, wall %g W); diagnostic snapshot captured",
+	return fmt.Sprintf("sched: non-finite rack state after step %d (state sum %g, DC %g W, wall %g W)",
 		d.Step, d.StateSum, d.DCW, d.WallW)
 }
 
 // checkpoint captures the run at the top of decision step k. It only reads
 // state, so taking one cannot perturb the run.
 func (e *traceRun) checkpoint(k int) (Checkpoint, error) {
-	rs, err := e.r.Snapshot()
+	rs, err := e.rk.Snapshot()
 	if err != nil {
 		return Checkpoint{}, fmt.Errorf("sched: checkpoint at step %d: %w", k, err)
 	}
@@ -172,7 +173,7 @@ func (e *traceRun) checkpoint(k int) (Checkpoint, error) {
 		PolicyName:    e.p.Name(),
 		Pending:       append([]Job(nil), e.pending...),
 		Running:       make([]ActiveJob, len(e.running)),
-		Loads:         make([]float64, len(e.loads)),
+		Loads:         make([]float64, len(e.loads[0])),
 		TotalWait:     e.totalWait,
 		NextJob:       e.nextJob,
 		NextAction:    e.nextAction,
@@ -193,7 +194,7 @@ func (e *traceRun) checkpoint(k int) (Checkpoint, error) {
 	for i, a := range e.running {
 		ck.Running[i] = ActiveJob{End: a.end, Slot: a.slot, Demand: a.demand, Job: a.job, Start: a.start}
 	}
-	for i, u := range e.loads {
+	for i, u := range e.loads[0] {
 		ck.Loads[i] = float64(u)
 	}
 	if sp, ok := e.p.(StatefulPolicy); ok {
@@ -231,12 +232,12 @@ func (e *traceRun) restore(ck Checkpoint) error {
 		return fmt.Errorf("sched: resume: job cursor %d outside [0, %d]", ck.NextJob, len(e.jobs))
 	case ck.NextAction < 0 || ck.NextAction > len(e.actions):
 		return fmt.Errorf("sched: resume: fault cursor %d outside [0, %d]", ck.NextAction, len(e.actions))
-	case len(ck.Loads) != len(e.loads):
-		return fmt.Errorf("sched: resume: checkpoint has %d load slots, rack has %d", len(ck.Loads), len(e.loads))
+	case len(ck.Loads) != len(e.loads[0]):
+		return fmt.Errorf("sched: resume: checkpoint has %d load slots, rack has %d", len(ck.Loads), len(e.loads[0]))
 	}
 	for _, a := range ck.Running {
-		if a.Slot < 0 || a.Slot >= len(e.loads) {
-			return fmt.Errorf("sched: resume: running job %d on slot %d, rack has %d", a.Job.ID, a.Slot, len(e.loads))
+		if a.Slot < 0 || a.Slot >= len(e.loads[0]) {
+			return fmt.Errorf("sched: resume: running job %d on slot %d, rack has %d", a.Job.ID, a.Slot, len(e.loads[0]))
 		}
 	}
 	sp, stateful := e.p.(StatefulPolicy)
@@ -249,7 +250,7 @@ func (e *traceRun) restore(ck Checkpoint) error {
 			return fmt.Errorf("sched: resume: %w", err)
 		}
 	}
-	if err := e.r.Restore(ck.Rack); err != nil {
+	if err := e.rk.Restore(ck.Rack); err != nil {
 		return fmt.Errorf("sched: resume: %w", err)
 	}
 	if e.tc.Metrics != nil {
@@ -262,10 +263,10 @@ func (e *traceRun) restore(ck Checkpoint) error {
 	e.pending = append([]Job(nil), ck.Pending...)
 	e.running = make([]active, len(ck.Running))
 	for i, a := range ck.Running {
-		e.running[i] = active{end: a.End, slot: a.Slot, demand: a.Demand, job: a.Job, start: a.Start}
+		e.running[i] = active{end: a.End, rack: 0, slot: a.Slot, demand: a.Demand, job: a.Job, start: a.Start}
 	}
 	for i, u := range ck.Loads {
-		e.loads[i] = units.Percent(u)
+		e.loads[0][i] = units.Percent(u)
 	}
 	e.totalWait = ck.TotalWait
 	e.nextJob = ck.NextJob
@@ -324,6 +325,10 @@ func ResumeTraceCfg(r *rack.Rack, jobs []Job, p Policy, tc TraceConfig, ck Check
 func (e *traceRun) boundary(k int) error {
 	if e.tc.Ctx != nil {
 		if cerr := e.tc.Ctx.Err(); cerr != nil {
+			if e.rk == nil {
+				// A plant run has no checkpoint to hand back.
+				return fmt.Errorf("%s: run cancelled at step %d/%d: %w", e.names.err, k, e.steps, cerr)
+			}
 			ck, err := e.checkpoint(k)
 			if err != nil {
 				return fmt.Errorf("sched: cancelled at step %d, snapshot failed: %w", k, err)
@@ -346,24 +351,31 @@ func (e *traceRun) boundary(k int) error {
 	return nil
 }
 
-// checkFinite is the divergence guard both kernels run after every rack
-// advance: one read of rack.StateSum, the NaN-transparent fold of every
-// thermal node, DIMM, fan, and power aggregate. The max-style telemetry
-// roll-ups skip NaN in their comparisons and the leakage curve clamps
-// temperature, so a poisoned node can otherwise coast silently to the
-// horizon; the sum cannot hide it. k is the grid step the run has
-// advanced to.
+// checkFinite is the divergence guard both kernels run after every
+// segment: the serial fold of the per-rack rack.StateSum values the
+// fan-out jobs took after each rack's last advance — the NaN-transparent
+// fold of every thermal node, DIMM, fan, and power aggregate. The
+// max-style telemetry roll-ups skip NaN in their comparisons and the
+// leakage curve clamps temperature, so a poisoned node can otherwise coast
+// silently to the horizon; the sum cannot hide it. k is the grid step the
+// run has advanced to.
 func (e *traceRun) checkFinite(k int) error {
-	sum := e.r.StateSum()
+	var sum float64
+	for _, s := range e.sums {
+		sum += s
+	}
 	if isFinite(sum) {
 		return nil
 	}
-	// Best-effort diagnostic snapshot: the state is non-finite, so a
-	// capture error is secondary to reporting the divergence itself.
-	ck, _ := e.checkpoint(k)
-	return &Diverged{
-		Step: k, StateSum: sum,
-		DCW: float64(e.r.DCPower()), WallW: float64(e.r.WallPower()),
-		Checkpoint: ck,
+	d := &Diverged{Step: k, StateSum: sum}
+	for i := range e.sums {
+		d.DCW += float64(e.pl.Rack(i).DCPower())
+		d.WallW += float64(e.pl.Rack(i).WallPower())
 	}
+	if e.rk != nil {
+		// Best-effort diagnostic snapshot: the state is non-finite, so a
+		// capture error is secondary to reporting the divergence itself.
+		d.Checkpoint, _ = e.checkpoint(k)
+	}
+	return d
 }

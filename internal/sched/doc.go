@@ -91,6 +91,17 @@
 // (server.BandDecisionHorizon). EventStepping=false (the default) is the
 // bit-exact reference path.
 //
+// # One kernel, two scopes
+//
+// The trace kernel drives a plant — racks behind one barrier, advanced a
+// segment at a time by a per-rack fan-out job — and places through one
+// hook. RunTraceCfg runs a bare rack as a one-rack plant with its Policy
+// as the hook, plus the rack-scope extras: wall-cap admission, backfill
+// and checkpoint/resume. RunPlant runs internal/room's Room with the
+// room's chooser loop as the hook and room.* counter names. The decision
+// order, the event bound, fault pinning, the divergence guard and the pin
+// taxonomy exist once.
+//
 // # FIFO backfill
 //
 // TraceConfig.Backfill relaxes strict FIFO when the queue head blocks:

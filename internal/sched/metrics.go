@@ -2,12 +2,12 @@ package sched
 
 import "repro/internal/obs"
 
-// pinReason labels why the event kernel advanced exactly one grid step
-// instead of a macro window — the attribution ROADMAP's "kill the
-// remaining fixed-dt cliffs" needs. Exactly one reason is charged per
-// single-step advance, at the moment the kernel declines the window, so
-// the per-reason counts always sum to (total rack advances − macro
-// windows) by construction, in both stepping modes.
+// pinReason labels why a rack advanced exactly one grid step instead of
+// a macro window — the one pin taxonomy of every trace run, rack and room
+// alike. Exactly one reason is charged per single-step advance, at the
+// moment the kernel declines the window, so the per-reason counts always
+// sum to (total rack advances − macro windows) by construction, per rack
+// and plant-wide, in both stepping modes.
 type pinReason int
 
 const (
@@ -16,8 +16,9 @@ const (
 	pinFixedDt pinReason = iota
 	// pinBacklog: non-empty backlog; the FIFO head retries every step.
 	pinBacklog
-	// pinTripGuard: a fault run with some live server inside the
-	// trip-guard band — trips must latch on their exact step.
+	// pinTripGuard: a fault run (or a backlog-crossing window) with some
+	// live server inside the trip-guard band — trips must latch on their
+	// exact step.
 	pinTripGuard
 	// pinArrival: the next job arrival lands on the very next step.
 	pinArrival
@@ -26,7 +27,9 @@ const (
 	// pinFaultEdge: a pinned fault inject/clear fires at the next step.
 	pinFaultEdge
 	// pinController: a fan controller's quiet-horizon promise expires at
-	// the next step (holdoff or poll boundary), fans settled.
+	// the next step (holdoff or poll boundary), fans settled. In a plant of
+	// several racks it is charged by the rack's own chunk loop, not the
+	// global segment.
 	pinController
 	// pinFanSlew: as pinController, but some powered slot's fans are still
 	// slewing — the window is held shut while conductances move.
@@ -41,8 +44,9 @@ const (
 	pinReasons // count
 )
 
-// pinNames maps reasons to the "kernel.pin.<reason>" metric suffixes (the
-// README's pin-reason taxonomy table mirrors these).
+// pinNames maps reasons to the metric suffixes under a scope's pin prefix,
+// "kernel.pin." or "room.pin." (the README's pin-reason taxonomy table
+// mirrors these).
 var pinNames = [pinReasons]string{
 	pinFixedDt:    "fixed-dt",
 	pinBacklog:    "backlog",
@@ -58,27 +62,45 @@ var pinNames = [pinReasons]string{
 }
 
 // PinReasonNames returns the metric suffixes of the pin-reason taxonomy,
-// in attribution-priority order; "kernel.pin." + name is the counter each
-// appears under. Exported for evalctl's breakdown table and the identity
-// tests.
+// in attribution-priority order; "kernel.pin." + name (rack runs) or
+// "room.pin." + name (plant runs) is the counter each appears under, and
+// RackKernelStats.Pins is indexed the same way. Exported for evalctl's
+// breakdown table and the identity tests.
 func PinReasonNames() []string {
 	out := make([]string, pinReasons)
 	copy(out, pinNames[:])
 	return out
 }
 
-// windowLenBounds are the kernel.window.len histogram buckets: powers of
-// two up to 16384 steps (a 1 s grid's 4.5-hour window), +Inf implicit.
+// windowLenBounds are the window.len histogram buckets: powers of two up
+// to 16384 steps (a 1 s grid's 4.5-hour window), +Inf implicit.
 func windowLenBounds() []float64 { return obs.ExpBuckets(1, 2, 15) }
+
+// scopeNames is one entry point's vocabulary: its error prefix and the
+// prefixes its counters register under — kernel.* and sched.* for rack
+// runs, room.* for both in plant runs. A counter a scope never had stays
+// unregistered, so each scope dumps exactly the names it always has.
+type scopeNames struct {
+	err, kernel, sched string
+	advances           string // per-rack advance counter
+	segments           string // global segment counter; "" for a rack, whose segments are its advances
+	capped             bool   // registers the deferral and backfill counters (rack runs only)
+}
+
+var (
+	rackScope = scopeNames{err: "sched", kernel: "kernel.", sched: "sched.", advances: "kernel.steps.total", capped: true}
+	roomScope = scopeNames{err: "room", kernel: "room.", sched: "room.", advances: "room.rack.steps.total", segments: "room.segments"}
+)
 
 // runMetrics carries one trace run's metric handles, fetched once at run
 // start so the per-step hot path never touches the registry's lock. With
 // no registry attached every handle is nil and every call below is a
 // nil-receiver no-op — the zero-cost default the golden tables pin.
 type runMetrics struct {
-	steps     *obs.Counter // kernel.steps.total: rack advances (== RackSteps)
-	gridSteps *obs.Counter // kernel.grid.steps: fixed-dt steps crossed (Σ window)
-	macroWins *obs.Counter // kernel.windows.macro: advances with window > 1
+	segments  *obs.Counter
+	gridSteps *obs.Counter
+	advances  *obs.Counter
+	macroWins *obs.Counter
 	winLen    *obs.Histogram
 	pins      [pinReasons]*obs.Counter
 
@@ -92,41 +114,33 @@ type runMetrics struct {
 	backlogHW  *obs.Gauge
 }
 
-func newRunMetrics(reg *obs.Registry) runMetrics {
+func newRunMetrics(reg *obs.Registry, n scopeNames) runMetrics {
 	if reg == nil {
 		// All-nil handles. Returning before the name concatenations keeps
 		// the uninstrumented run's allocation profile untouched.
 		return runMetrics{}
 	}
 	m := runMetrics{
-		steps:      reg.Counter("kernel.steps.total"),
-		gridSteps:  reg.Counter("kernel.grid.steps"),
-		macroWins:  reg.Counter("kernel.windows.macro"),
-		winLen:     reg.Histogram("kernel.window.len", windowLenBounds()),
-		submitted:  reg.Counter("sched.jobs.submitted"),
-		placements: reg.Counter("sched.placements"),
-		backfills:  reg.Counter("sched.backfills"),
-		deferrals:  reg.Counter("sched.deferrals"),
-		completed:  reg.Counter("sched.jobs.completed"),
-		requeued:   reg.Counter("sched.kills.requeued"),
-		dropped:    reg.Counter("sched.kills.dropped"),
-		backlogHW:  reg.Gauge("sched.backlog.highwater"),
+		gridSteps:  reg.Counter(n.kernel + "grid.steps"),
+		advances:   reg.Counter(n.advances),
+		macroWins:  reg.Counter(n.kernel + "windows.macro"),
+		winLen:     reg.Histogram(n.kernel+"window.len", windowLenBounds()),
+		submitted:  reg.Counter(n.sched + "jobs.submitted"),
+		placements: reg.Counter(n.sched + "placements"),
+		completed:  reg.Counter(n.sched + "jobs.completed"),
+		requeued:   reg.Counter(n.sched + "kills.requeued"),
+		dropped:    reg.Counter(n.sched + "kills.dropped"),
+		backlogHW:  reg.Gauge(n.sched + "backlog.highwater"),
+	}
+	if n.segments != "" {
+		m.segments = reg.Counter(n.segments)
+	}
+	if n.capped {
+		m.deferrals = reg.Counter(n.sched + "deferrals")
+		m.backfills = reg.Counter(n.sched + "backfills")
 	}
 	for i := range m.pins {
-		m.pins[i] = reg.Counter("kernel.pin." + pinNames[i])
+		m.pins[i] = reg.Counter(n.kernel + "pin." + pinNames[i])
 	}
 	return m
-}
-
-// advance charges one rack advance spanning `window` grid steps, pinned by
-// `reason` when the window is a single step.
-func (m *runMetrics) advance(window int, reason pinReason) {
-	m.steps.Inc()
-	m.gridSteps.Add(int64(window))
-	m.winLen.Observe(float64(window))
-	if window > 1 {
-		m.macroWins.Inc()
-	} else {
-		m.pins[reason].Inc()
-	}
 }

@@ -63,12 +63,12 @@ type Policy interface {
 	Place(j Job, views []ServerView) int
 }
 
-// fits reports whether server v can take the job at all: it must be
+// Fits reports whether server v can take the job at all: it must be
 // healthy — tripped and failed slots are out of rotation until their
 // fault clears — with enough free capacity for the demand. Every shipped
-// policy filters candidates through this predicate, which is what keeps
-// all six fault-aware at once.
-func fits(v ServerView, j Job) bool { return v.Health == rack.Healthy && v.Free >= j.Demand }
+// policy, and the room choosers pricing slots, filter candidates through
+// this predicate, which is what keeps them all fault-aware at once.
+func Fits(v ServerView, j Job) bool { return v.Health == rack.Healthy && v.Free >= j.Demand }
 
 // LoadOnlyRefuser is the opt-in Policy attribute behind the event kernel's
 // backlog un-pin: a policy returning true promises that its *refusal*
@@ -81,7 +81,7 @@ func fits(v ServerView, j Job) bool { return v.Health == rack.Healthy && v.Free 
 // the kernel may macro-step completion-to-completion over a non-empty
 // backlog instead of retrying the blocked head every dt. Refusal is
 // monotone in load for every shipped policy (refusal == no view passes
-// fits), so placements can only make a refused head more refused, never
+// Fits), so placements can only make a refused head more refused, never
 // less. Policies whose *choice* reads evolving telemetry (coolest-first,
 // leakage/cap/pue-aware) must stay conservative: their refusal is still
 // load-only, but opting in is deliberately limited to policies whose whole
@@ -117,7 +117,7 @@ func (p *RoundRobin) Name() string { return "round-robin" }
 func (p *RoundRobin) Reset() { p.next = 0 }
 
 // RefusalIsLoadOnly implements LoadOnlyRefuser: the rotation reads only
-// fits (load + health), and a refused Place leaves the cursor untouched.
+// Fits (load + health), and a refused Place leaves the cursor untouched.
 func (p *RoundRobin) RefusalIsLoadOnly() bool { return true }
 
 // Place implements Policy: the first server at or after the cursor with
@@ -126,7 +126,7 @@ func (p *RoundRobin) Place(j Job, views []ServerView) int {
 	n := len(views)
 	for k := 0; k < n; k++ {
 		v := views[(p.next+k)%n]
-		if fits(v, j) {
+		if Fits(v, j) {
 			p.next = (v.Index + 1) % n
 			return v.Index
 		}
@@ -159,7 +159,7 @@ func (p *LeastUtilized) Place(j Job, views []ServerView) int {
 	best := -1
 	var bestLoad units.Percent
 	for _, v := range views {
-		if !fits(v, j) {
+		if !Fits(v, j) {
 			continue
 		}
 		if best < 0 || v.Load < bestLoad {
@@ -193,7 +193,7 @@ func (p *CoolestFirst) Place(j Job, views []ServerView) int {
 	best := -1
 	var bestTemp units.Celsius
 	for _, v := range views {
-		if !fits(v, j) {
+		if !Fits(v, j) {
 			continue
 		}
 		if best < 0 || v.MaxCPUTemp < bestTemp {
@@ -281,7 +281,7 @@ func (p *LeakageAware) Place(j Job, views []ServerView) int {
 	best := -1
 	var bestCost units.Watts
 	for _, v := range views {
-		if !fits(v, j) {
+		if !Fits(v, j) {
 			continue
 		}
 		cost, err := p.marginal(v.Index, v.Load, j.Demand)
@@ -386,7 +386,7 @@ func (p *CapAware) Place(j Job, views []ServerView) int {
 	best := -1
 	var bestCost units.Watts
 	for _, v := range views {
-		if !fits(v, j) || v.Index >= len(p.tables) {
+		if !Fits(v, j) || v.Index >= len(p.tables) {
 			continue
 		}
 		cost, err := p.marginalWall(v, j.Demand)
@@ -489,7 +489,7 @@ func (p *PUEAware) Place(j Job, views []ServerView) int {
 	best := -1
 	var bestCost units.Watts
 	for _, v := range views {
-		if !fits(v, j) || v.Index >= len(p.inner.tables) {
+		if !Fits(v, j) || v.Index >= len(p.inner.tables) {
 			continue
 		}
 		cost, err := p.marginalFacility(v, j.Demand, rackWallW)
@@ -526,7 +526,7 @@ type Result struct {
 	MeanWaitSec float64 // mean of the waits charged at every placement, over net Placed
 	MaxQueueLen int     // worst backlog observed
 	Deferrals   int     // placements deferred by the wall-power cap
-	RackSteps   int     // rack advances taken: fixed-dt = horizon/dt; event mode = macro windows
+	RackSteps   int     // kernel segments (a rack run's advances): fixed-dt = horizon/dt; event mode = decision steps
 
 	// Backfills counts placements made by the FIFO backfill pass
 	// (TraceConfig.Backfill): jobs placed past a blocked queue head. Each
@@ -550,8 +550,8 @@ type Result struct {
 
 // TraceConfig parameterizes a trace run.
 type TraceConfig struct {
-	Dt      float64 // simulation step, seconds
-	Horizon float64 // trace window, seconds
+	Dt      float64 // simulation step, seconds; finite and > 0
+	Horizon float64 // trace window, seconds; finite and > 0
 
 	// WallCapW, when positive, is the rack-level wall-power budget: a
 	// placement whose predicted post-placement wall draw strictly exceeds
@@ -612,7 +612,8 @@ type TraceConfig struct {
 	// SampleEvery, in seconds, optionally forces an event-stepping wake at
 	// a fixed telemetry cadence, bounding how coarse the peak/maxima
 	// sampling can get inside long quiet gaps. 0 (the default) samples
-	// only at events and macro sub-step boundaries. Ignored by the
+	// only at events and macro sub-step boundaries; it must be finite and
+	// ≥ 0 (+Inf would pin every step, not disable sampling). Ignored by the
 	// fixed-dt path, which observes every step anyway. Align it with
 	// rack.Config.ReliabilitySampleEvery so reliability samples land on
 	// identical instants in both stepping modes.
@@ -675,20 +676,23 @@ type TraceConfig struct {
 	Metrics *obs.Registry
 }
 
-// active is a placed job with its completion time. The original Job and
-// the placement instant ride along so a fault-kill can requeue it and
-// account the discarded progress.
+// active is a placed job with its completion time and site. The original
+// Job and the placement instant ride along so a fault-kill can requeue it
+// and account the discarded progress.
 type active struct {
 	end    float64
+	rack   int
 	slot   int
 	demand units.Percent
 	job    Job
 	start  float64 // elapsed (trace-relative) placement instant
 }
 
-// faultAction is one pinned fault edge: apply or clear ev at grid step k.
+// faultAction is one pinned fault edge: apply or clear ev on rack `rack`
+// at grid step k.
 type faultAction struct {
 	k     int
+	rack  int
 	apply bool
 	ev    fault.Event
 }
@@ -724,60 +728,93 @@ func RunTraceCfg(r *rack.Rack, jobs []Job, p Policy, tc TraceConfig) (Result, er
 	return e.run()
 }
 
-// newTraceRun validates the configuration and builds the run state shared
-// by RunTraceCfg and ResumeTraceCfg — everything up to, but excluding, the
-// fresh-run-only initialization (policy reset, submitted count) a resume
-// must skip.
+// newTraceRun validates the configuration and builds the rack run state
+// shared by RunTraceCfg and ResumeTraceCfg — everything up to, but
+// excluding, the fresh-run-only initialization (policy reset, submitted
+// count) a resume must skip.
 func newTraceRun(r *rack.Rack, jobs []Job, p Policy, tc TraceConfig) (*traceRun, error) {
-	dt, horizon := tc.Dt, tc.Horizon
-	if dt <= 0 || horizon <= 0 {
-		return nil, fmt.Errorf("sched: dt and horizon must be positive")
-	}
 	if tc.CheckpointSink != nil || tc.CheckpointEvery != 0 {
-		if !(tc.CheckpointEvery > 0) || math.IsInf(tc.CheckpointEvery, 0) {
+		if !positiveFinite(tc.CheckpointEvery) {
 			return nil, fmt.Errorf("sched: CheckpointEvery must be positive and finite, got %g", tc.CheckpointEvery)
 		}
 		if tc.CheckpointSink == nil {
 			return nil, fmt.Errorf("sched: CheckpointEvery set without a CheckpointSink")
 		}
 	}
-	if !sort.SliceIsSorted(jobs, func(a, b int) bool { return jobs[a].Arrival < jobs[b].Arrival }) {
-		return nil, fmt.Errorf("sched: jobs must be sorted by arrival time")
+	pick := &policyPlacer{p: p, r: r, views: make([]ServerView, r.NumServers())}
+	e, err := newRun(rackPlant{r}, pick, jobs, tc, []*fault.Schedule{tc.Faults}, rackScope)
+	if err != nil {
+		return nil, err
 	}
+	e.rk, e.p = r, p
+	e.pendingDC = make([]units.Watts, r.NumServers())
+	return e, nil
+}
 
+// positiveFinite reports whether x is usable as a step, span or cadence:
+// strictly positive and not +Inf (NaN fails the comparison).
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
+// newRun validates what every trace run needs and builds the kernel state
+// for plant pl: one load vector, kernel-stats row and state-sum slot per
+// rack, and the pinned edges of the per-rack fault schedules (faults[i]
+// targets rack i; nil entries are fault-free).
+func newRun(pl plant, pick placer, jobs []Job, tc TraceConfig, faults []*fault.Schedule, names scopeNames) (*traceRun, error) {
+	if !positiveFinite(tc.Dt) || !positiveFinite(tc.Horizon) {
+		return nil, fmt.Errorf("%s: dt and horizon must be positive and finite, got dt=%g horizon=%g", names.err, tc.Dt, tc.Horizon)
+	}
+	if !(tc.Horizon/tc.Dt < 1<<53) {
+		// Past 2^53 the grid-step count overflows or stops being exact.
+		return nil, fmt.Errorf("%s: horizon/dt = %g grid steps is too many", names.err, tc.Horizon/tc.Dt)
+	}
+	if !(tc.SampleEvery >= 0) || math.IsInf(tc.SampleEvery, 1) {
+		return nil, fmt.Errorf("%s: SampleEvery must be finite and non-negative, got %g", names.err, tc.SampleEvery)
+	}
+	if !sort.SliceIsSorted(jobs, func(a, b int) bool { return jobs[a].Arrival < jobs[b].Arrival }) {
+		return nil, fmt.Errorf("%s: jobs must be sorted by arrival time", names.err)
+	}
+	n := pl.NumRacks()
+	if len(faults) > 0 && len(faults) != n {
+		return nil, fmt.Errorf("%s: %d fault schedules for %d racks (one per rack, nil entries allowed)", names.err, len(faults), n)
+	}
 	e := &traceRun{
-		r:         r,
-		jobs:      jobs,
-		p:         p,
-		tc:        tc,
-		dt:        dt,
-		res:       Result{Submitted: len(jobs)},
-		loads:     make([]units.Percent, r.NumServers()),
-		views:     make([]ServerView, r.NumServers()),
-		pendingDC: make([]units.Watts, r.NumServers()),
-		start:     r.Now(),
-		steps:     int(math.Ceil(horizon/dt - 1e-9)),
-		nextCkpt:  tc.CheckpointEvery,
-		hooks:     tc.Ctx != nil || tc.CheckpointSink != nil,
-		m:         newRunMetrics(tc.Metrics),
+		pl:       pl,
+		pick:     pick,
+		lone:     n == 1,
+		names:    names,
+		jobs:     jobs,
+		tc:       tc,
+		dt:       tc.Dt,
+		res:      Result{Submitted: len(jobs)},
+		loads:    make([][]units.Percent, n),
+		kernel:   make([]RackKernelStats, n),
+		sums:     make([]float64, n),
+		start:    pl.Now(),
+		steps:    int(math.Ceil(tc.Horizon/tc.Dt - 1e-9)),
+		nextCkpt: tc.CheckpointEvery,
+		hooks:    tc.Ctx != nil || tc.CheckpointSink != nil,
+		m:        newRunMetrics(tc.Metrics, names),
 		// The backlog un-pin engages only when the head's block is provably
-		// invariant between events: a load-only policy refusal. A wall cap
-		// makes deferrals depend on the evolving wall draw (fan and leakage
+		// invariant between events: a load-only refusal. A wall cap makes
+		// deferrals depend on the evolving wall draw (fan and leakage
 		// transients), so capped runs keep the conservative per-step retry.
-		backlogMacro: tc.WallCapW <= 0 && RefusalIsLoadOnly(p),
+		backlogMacro: tc.WallCapW <= 0 && pick.RefusalIsLoadOnly(),
 	}
-	if !tc.Faults.Empty() {
-		if err := tc.Faults.Validate(r.NumServers(), r.Server(0).Fans().NumFans()); err != nil {
-			return nil, fmt.Errorf("sched: fault schedule: %w", err)
-		}
-		e.buildFaultActions()
+	for i := range e.loads {
+		e.loads[i] = make([]units.Percent, pl.Rack(i).NumServers())
+		e.kernel[i].Pins = make([]int, pinReasons)
 	}
+	if err := e.buildFaultActions(faults); err != nil {
+		return nil, err
+	}
+	e.stepFn = e.stepRack
+	e.crossFn = e.crossSegment
 	return e, nil
 }
 
 // run executes the configured kernel and folds the post-run accounting —
-// shared by the fresh-start and resume entry points. On a cancellation or
-// divergence error the partial Result is still returned alongside it.
+// shared by every entry point. On a cancellation or divergence error the
+// partial Result is still returned alongside it.
 func (e *traceRun) run() (Result, error) {
 	var err error
 	if e.tc.EventStepping {
@@ -789,37 +826,49 @@ func (e *traceRun) run() (Result, error) {
 		e.res.MeanWaitSec = e.totalWait / float64(e.res.Placed)
 	}
 	if e.tc.Metrics != nil {
-		// Serial post-run fold of the physics-layer counters; the per-step
-		// kernel and scheduling counts were charged as they happened.
-		e.r.MetricsInto(e.tc.Metrics)
+		// Serial post-run fold of the physics-layer counters in rack order
+		// (the additive rack.* names accumulate across racks); the kernel
+		// and scheduling counts were charged as they happened.
+		for i := range e.loads {
+			e.pl.Rack(i).MetricsInto(e.tc.Metrics)
+		}
 		e.res.Metrics = e.tc.Metrics
 	}
 	return e.res, err
 }
 
 // traceRun is the state of one trace execution, shared by the fixed-dt
-// reference loop and the event-driven kernel so both take scheduling
-// decisions through literally the same code.
+// reference loop and the event-driven kernel — and by rack and plant runs
+// — so every run takes scheduling decisions through literally the same
+// code.
 type traceRun struct {
-	r     *rack.Rack
+	pl    plant
+	pick  placer
+	lone  bool // one-rack plant: its controller horizon is a decision wake
+	names scopeNames
 	jobs  []Job
-	p     Policy
 	tc    TraceConfig
 	dt    float64
 	res   Result
-	loads []units.Percent
-	views []ServerView
+	loads [][]units.Percent // dispatcher's committed demand, per rack per slot
+
+	// rk and p are a rack run's rack and policy (checkpoints, cap
+	// admission); nil in a plant run.
+	rk *rack.Rack
+	p  Policy
 	// pendingDC tracks, per slot, the DC increments of placements admitted
 	// earlier in the current step: the rack's measured draw lags behind by
 	// one step (loads apply at the next Step), so cap admission must count
 	// same-step placements or several jobs could jointly breach the cap.
 	pendingDC []units.Watts
+
 	pending   []Job
 	running   []active
 	totalWait float64
 	nextJob   int
 	start     float64
 	steps     int
+	gridSteps int // grid steps crossed so far
 
 	// Run control: k0 is the first grid step to process (non-zero only on
 	// resume), nextCkpt the next periodic-checkpoint instant in elapsed
@@ -831,7 +880,7 @@ type traceRun struct {
 
 	// backlogMacro, fixed at run start, allows the event kernel to grant
 	// macro windows over a non-empty backlog (see LoadOnlyRefuser): the
-	// policy's refusals are load-only and no wall cap is set.
+	// placer's refusals are load-only and no wall cap is set.
 	backlogMacro bool
 
 	// Pinned fault edges in application order (k ascending, clears before
@@ -841,12 +890,23 @@ type traceRun struct {
 	nextAction int
 	faultSteps []int
 
+	// Per-rack accounting, slot i written only by rack i's fan-out job:
+	// kernel stats and the rack.StateSum after its last advance.
+	kernel []RackKernelStats
+	sums   []float64
+
+	// Segment fan-out staging, written serially before the barrier, and
+	// the job closures, built once per run.
+	segK, segEnd    int
+	segCause        pinReason
+	stepFn, crossFn func(i int)
+
 	// Metric handles for tc.Metrics, all nil (free no-ops) by default.
 	m runMetrics
 }
 
 // runFixed is the fixed-dt reference path: every grid step processes
-// events and advances the rack by one dt, bit-identical to the original
+// events and advances every rack by one dt, bit-identical to the original
 // runner.
 func (e *traceRun) runFixed() error {
 	for k := e.k0; k < e.steps; k++ {
@@ -859,9 +919,7 @@ func (e *traceRun) runFixed() error {
 			return err
 		}
 		e.applyLoads()
-		e.r.Step(e.dt)
-		e.res.RackSteps++
-		e.m.advance(1, pinFixedDt)
+		e.segment(k, 1, pinFixedDt, e.stepFn)
 		if err := e.checkFinite(k + 1); err != nil {
 			return err
 		}
@@ -871,7 +929,7 @@ func (e *traceRun) runFixed() error {
 
 // processStep takes every scheduling decision of grid step k: completions
 // free capacity, arrivals join the backlog, and the FIFO head places while
-// the policy (and the wall cap) accepts.
+// the placer (and the wall cap) accepts.
 func (e *traceRun) processStep(k int) error {
 	elapsed := float64(k) * e.dt
 	now := e.start + elapsed
@@ -883,7 +941,7 @@ func (e *traceRun) processStep(k int) error {
 	keep := e.running[:0]
 	for _, a := range e.running {
 		if a.end <= now {
-			e.loads[a.slot] -= a.demand
+			e.loads[a.rack][a.slot] -= a.demand
 			e.res.Completed++
 			e.m.completed.Inc()
 			continue
@@ -899,12 +957,12 @@ func (e *traceRun) processStep(k int) error {
 		a := e.actions[e.nextAction]
 		var err error
 		if a.apply {
-			err = e.r.ApplyFault(a.ev)
+			err = e.pl.ApplyFault(a.rack, a.ev)
 		} else {
-			err = e.r.ClearFault(a.ev)
+			err = e.pl.ClearFault(a.rack, a.ev)
 		}
 		if err != nil {
-			return fmt.Errorf("sched: fault at step %d: %w", k, err)
+			return fmt.Errorf("%s: fault at step %d: %w", e.names.err, k, err)
 		}
 		e.nextAction++
 	}
@@ -918,11 +976,11 @@ func (e *traceRun) processStep(k int) error {
 	var killed []Job
 	keep = e.running[:0]
 	for _, a := range e.running {
-		if e.r.Health(a.slot) == rack.Healthy {
+		if e.pl.Rack(a.rack).Health(a.slot) == rack.Healthy {
 			keep = append(keep, a)
 			continue
 		}
-		e.loads[a.slot] -= a.demand
+		e.loads[a.rack][a.slot] -= a.demand
 		e.res.Placed--
 		if e.tc.DropOnFault {
 			e.res.Lost++
@@ -957,15 +1015,17 @@ func (e *traceRun) processStep(k int) error {
 	}
 	e.m.backlogHW.SetMax(float64(len(e.pending)))
 
-	// Place from the head while the policy accepts.
+	// Place from the head while the placer accepts.
 	for len(e.pending) > 0 {
-		e.buildViews()
 		j := e.pending[0]
-		slot := e.p.Place(j, e.views)
-		if slot < 0 {
+		ri, slot, err := e.pick.Pick(j, e.loads)
+		if err != nil {
+			return err
+		}
+		if ri < 0 {
 			break
 		}
-		if err := e.checkPlacement(j, slot); err != nil {
+		if err := e.checkPlacement(j, ri, slot); err != nil {
 			return err
 		}
 		if !e.admitCap(j, slot) {
@@ -975,7 +1035,7 @@ func (e *traceRun) processStep(k int) error {
 			e.m.deferrals.Inc()
 			break
 		}
-		e.place(j, slot, now, elapsed)
+		e.place(j, ri, slot, now, elapsed)
 		e.pending = e.pending[1:]
 	}
 	// The head blocked (or the queue drained). One FIFO backfill pass lets
@@ -988,34 +1048,17 @@ func (e *traceRun) processStep(k int) error {
 	return nil
 }
 
-// buildViews refreshes the policy's per-slot telemetry snapshot from the
-// current dispatcher loads and rack state — once per placement attempt, so
-// every decision sees the loads of same-step placements already committed.
-func (e *traceRun) buildViews() {
-	for i := range e.views {
-		e.views[i] = ServerView{
-			Index:      i,
-			Name:       e.r.Name(i),
-			Load:       e.loads[i],
-			Free:       100 - e.loads[i],
-			MaxCPUTemp: e.r.Server(i).MaxCPUTemp(),
-			InletTemp:  e.r.Server(i).InletTemp(),
-			DCPower:    e.r.ServerDCPower(i),
-			WallPower:  e.r.ServerWallPower(i),
-			Health:     e.r.Health(i),
-		}
+// checkPlacement validates a placer's site — out-of-range or overloaded
+// slots and unhealthy servers are hard policy bugs, for the head and
+// backfill paths alike.
+func (e *traceRun) checkPlacement(j Job, ri, slot int) error {
+	if slot >= len(e.loads[ri]) || e.loads[ri][slot]+j.Demand > 100 {
+		return fmt.Errorf("%s: policy %s placed job %d on invalid/overloaded server %d of rack %d",
+			e.names.err, e.pick.PolicyName(ri), j.ID, slot, ri)
 	}
-}
-
-// checkPlacement validates a policy's slot choice — out-of-range or
-// overloaded slots and unhealthy servers are hard policy bugs, for the
-// head and backfill paths alike.
-func (e *traceRun) checkPlacement(j Job, slot int) error {
-	if slot >= len(e.loads) || e.loads[slot]+j.Demand > 100 {
-		return fmt.Errorf("sched: policy %s placed job %d on invalid/overloaded server %d", e.p.Name(), j.ID, slot)
-	}
-	if h := e.r.Health(slot); h != rack.Healthy {
-		return fmt.Errorf("sched: policy %s placed job %d on %v server %d", e.p.Name(), j.ID, h, slot)
+	if h := e.pl.Rack(ri).Health(slot); h != rack.Healthy {
+		return fmt.Errorf("%s: policy %s placed job %d on %v server %d of rack %d",
+			e.names.err, e.pick.PolicyName(ri), j.ID, h, slot, ri)
 	}
 	return nil
 }
@@ -1023,34 +1066,35 @@ func (e *traceRun) checkPlacement(j Job, slot int) error {
 // admitCap runs the wall-cap admission for placing j on slot, charging the
 // job's DC increment into pendingDC when admitted so later same-step
 // placements see it. A false return leaves pendingDC unchanged; with no
-// cap configured every placement is admitted.
+// cap configured (every plant run) every placement is admitted.
 func (e *traceRun) admitCap(j Job, slot int) bool {
 	if e.tc.WallCapW <= 0 {
 		return true
 	}
-	mdc := MarginalDCPower(e.r.Server(slot).Config().Power, e.loads[slot], j.Demand)
+	load := e.loads[0][slot]
+	mdc := MarginalDCPower(e.rk.Server(slot).Config().Power, load, j.Demand)
 	if slot < len(e.tc.CapMarginal) && e.tc.CapMarginal[slot] != nil {
 		// Conservative admission: charge the settled fan+leak cost up
 		// front. Clamped at zero so the conservative estimate is never
 		// below the fast one.
-		if steady, err := SteadyFanLeakMarginal(e.tc.CapMarginal[slot], e.loads[slot], j.Demand); err == nil && steady > 0 {
+		if steady, err := SteadyFanLeakMarginal(e.tc.CapMarginal[slot], load, j.Demand); err == nil && steady > 0 {
 			mdc += steady
 		}
 	}
 	e.pendingDC[slot] += mdc
-	if float64(e.r.WallPowerWithAll(e.pendingDC)) > e.tc.WallCapW {
+	if float64(e.rk.WallPowerWithAll(e.pendingDC)) > e.tc.WallCapW {
 		e.pendingDC[slot] -= mdc
 		return false
 	}
 	return true
 }
 
-// place commits job j to slot at decision instant (now absolute, elapsed
-// trace-relative): loads, the running set, the wait meter and the
-// placement counters.
-func (e *traceRun) place(j Job, slot int, now, elapsed float64) {
-	e.loads[slot] += j.Demand
-	e.running = append(e.running, active{end: now + j.Duration, slot: slot, demand: j.Demand, job: j, start: elapsed})
+// place commits job j to rack ri's slot at decision instant (now absolute,
+// elapsed trace-relative): loads, the running set, the wait meter, the
+// placement counters and the placer's commit notification.
+func (e *traceRun) place(j Job, ri, slot int, now, elapsed float64) {
+	e.loads[ri][slot] += j.Demand
+	e.running = append(e.running, active{end: now + j.Duration, rack: ri, slot: slot, demand: j.Demand, job: j, start: elapsed})
 	// Clamp at zero: admission rounds an arrival down to its step's
 	// tick (anticipation < dt), which is not a queueing delay.
 	if wait := elapsed - j.Arrival; wait > 0 {
@@ -1058,6 +1102,7 @@ func (e *traceRun) place(j Job, slot int, now, elapsed float64) {
 	}
 	e.res.Placed++
 	e.m.placements.Inc()
+	e.pick.Committed(ri)
 }
 
 // backfill is the TraceConfig.Backfill pass: every job queued behind the
@@ -1069,21 +1114,23 @@ func (e *traceRun) place(j Job, slot int, now, elapsed float64) {
 // capacity (see the field's FIFO-fairness caveat).
 func (e *traceRun) backfill(now, elapsed float64) error {
 	for idx := 1; idx < len(e.pending); {
-		e.buildViews()
 		j := e.pending[idx]
-		slot := e.p.Place(j, e.views)
-		if slot < 0 {
+		ri, slot, err := e.pick.Pick(j, e.loads)
+		if err != nil {
+			return err
+		}
+		if ri < 0 {
 			idx++
 			continue
 		}
-		if err := e.checkPlacement(j, slot); err != nil {
+		if err := e.checkPlacement(j, ri, slot); err != nil {
 			return err
 		}
 		if !e.admitCap(j, slot) {
 			idx++
 			continue
 		}
-		e.place(j, slot, now, elapsed)
+		e.place(j, ri, slot, now, elapsed)
 		e.res.Backfills++
 		e.m.backfills.Inc()
 		e.pending = append(e.pending[:idx], e.pending[idx+1:]...)
@@ -1092,19 +1139,22 @@ func (e *traceRun) backfill(now, elapsed float64) error {
 }
 
 func (e *traceRun) applyLoads() {
-	for i, u := range e.loads {
-		e.r.SetLoad(i, u)
+	for ri, loads := range e.loads {
+		rk := e.pl.Rack(ri)
+		for i, u := range loads {
+			rk.SetLoad(i, u)
+		}
 	}
 }
 
 // runEvents is the event-driven kernel. It visits exactly the grid steps
 // at which the fixed-dt path could do something — a job arrival or
-// completion, a blocked backlog retry, a controller wake-up, a telemetry
-// sample — and collapses every gap in between into one rack.Advance macro
-// window. Decision code, decision instants and decision inputs are shared
-// with runFixed, so placements, deferrals and queue statistics are
-// identical; only the physics between decisions is advanced in closed
-// form.
+// completion, a blocked backlog retry, a fault edge, a telemetry sample
+// and, for a lone rack, a controller wake-up — and crosses every gap in
+// between as one segment in closed-form macro windows. Decision code,
+// decision instants and decision inputs are shared with runFixed, so
+// placements, deferrals and queue statistics are identical; only the
+// physics between decisions is advanced in closed form.
 func (e *traceRun) runEvents() error {
 	sampleSteps := 0
 	if e.tc.SampleEvery > 0 {
@@ -1123,15 +1173,18 @@ func (e *traceRun) runEvents() error {
 			return err
 		}
 		e.applyLoads()
-		// Controllers tick at the kernel's grid time. The fixed-dt path
-		// ticks them at the rack's accumulated clock instead; the two agree
-		// exactly whenever k·dt is exactly representable (every integer dt,
-		// i.e. all shipped experiments) and to one ulp otherwise — a
-		// hold-off or poll boundary landing inside that ulp could shift a
-		// fan decision by one grid step between the modes.
 		now := e.start + float64(k)*e.dt
-		e.r.TickControllers(now)
-		window, reason := 1, pinBacklog
+		if e.lone {
+			// Controllers tick at the kernel's grid time. The fixed-dt path
+			// ticks them at the rack's accumulated clock instead; the two
+			// agree exactly whenever k·dt is exactly representable (every
+			// integer dt, i.e. all shipped experiments) and to one ulp
+			// otherwise — a hold-off or poll boundary landing inside that
+			// ulp could shift a fan decision by one grid step between the
+			// modes. Racks of a larger plant tick inside crossSegment.
+			e.pl.Rack(0).TickControllers(now)
+		}
+		seg, reason := 1, pinBacklog
 		// A non-empty backlog pins the kernel to fixed-dt — the head is
 		// retried, against freshly evolved telemetry views, every step,
 		// exactly like the reference path — unless the head's refusal is
@@ -1139,12 +1192,10 @@ func (e *traceRun) runEvents() error {
 		// health change only at wake events, so the refusal holds at every
 		// skipped step and the kernel macro-steps completion-to-completion.
 		if len(e.pending) == 0 || e.backlogMacro {
-			window, reason = e.window(k, now, sampleSteps)
+			seg, reason = e.bound(k, now, sampleSteps)
 		}
-		e.r.Advance(e.dt, window)
-		e.res.RackSteps++
-		e.m.advance(window, reason)
-		k += window
+		e.segment(k, seg, reason, e.crossFn)
+		k += seg
 		if err := e.checkFinite(k); err != nil {
 			return err
 		}
@@ -1152,25 +1203,95 @@ func (e *traceRun) runEvents() error {
 	return nil
 }
 
-// window returns the macro-window length from step k — up to, exclusive,
-// the next grid step at which anything can happen — plus the pin reason
-// charged when that length is a single step. The reason is the bound that
-// strictly lowered `next` last; on ties the earlier check wins, so the
-// attribution precedence is horizon-end, arrival, fault-edge, completion,
-// controller horizon, sample grid — deterministic for every worker count
-// because every bound is computed from serial state.
-func (e *traceRun) window(k int, now float64, sampleSteps int) (int, pinReason) {
-	if (len(e.actions) > 0 || len(e.pending) > 0) && e.r.TripRisk() {
-		// Fault runs pin to single steps while any live server sits inside
-		// the trip-guard band: a natural trip latching mid-window would
-		// defer its job kills to the window's end, diverging from the
-		// fixed-dt reference that observes the trip on its exact step. A
-		// backlog-crossing window (LoadOnlyRefuser) takes the same pin even
-		// on fault-free runs — a natural trip un-healths a slot, which is
-		// exactly the state a load-only refusal is conditioned on — while
-		// the empty-backlog path keeps PR 5's fault-runs-only condition
-		// bit-identically.
-		return 1, pinTripGuard
+// segment crosses grid steps [k, k+steps), cross(i) advancing rack i.
+func (e *traceRun) segment(k, steps int, cause pinReason, cross func(i int)) {
+	e.segK, e.segEnd, e.segCause = k, k+steps, cause
+	e.pl.Segment(e.dt, steps, cross)
+	e.res.RackSteps++
+	e.gridSteps += steps
+	e.m.segments.Inc()
+	e.m.gridSteps.Add(int64(steps))
+}
+
+// stepRack is the fixed-dt fan-out job: rack i takes one dt step.
+func (e *traceRun) stepRack(i int) {
+	rk := e.pl.Rack(i)
+	rk.Step(e.dt)
+	e.chunk(i, 1, pinFixedDt)
+	e.sums[i] = rk.StateSum()
+}
+
+// crossSegment is the event kernel's fan-out job: rack i crosses the
+// segment. A lone rack's controllers already ticked and bounded it, so it
+// crosses in one window. A rack of a larger plant ticks its controllers at
+// each visited step and lets its quiet horizon bound each chunk — a quiet
+// rack crosses in a few macro windows while a pinned rack single-steps.
+func (e *traceRun) crossSegment(i int) {
+	rk := e.pl.Rack(i)
+	for kk := e.segK; kk < e.segEnd; {
+		// The segment boundary is this chunk's default bound; the rack's
+		// own horizon can only shorten it. On ties the segment cause wins —
+		// the same earlier-check-wins precedence as bound().
+		w, cause := e.segEnd-kk, e.segCause
+		if !e.lone {
+			now := e.start + float64(kk)*e.dt
+			rk.TickControllers(now)
+			if kq, qc, ok := e.quietBound(rk, now); ok {
+				if kq <= kk {
+					kq = kk + 1
+				}
+				if kq-kk < w {
+					w, cause = kq-kk, qc
+				}
+			}
+		}
+		rk.Advance(e.dt, w)
+		e.chunk(i, w, cause)
+		kk += w
+	}
+	e.sums[i] = rk.StateSum()
+}
+
+// chunk charges rack i one advance spanning w grid steps, pinned by
+// `cause` when it is a single step. The obs handles are atomic and
+// commutative, so fan-out jobs charge them concurrently.
+func (e *traceRun) chunk(i, w int, cause pinReason) {
+	st := &e.kernel[i]
+	st.Advances++
+	e.m.advances.Inc()
+	e.m.winLen.Observe(float64(w))
+	if w > 1 {
+		st.MacroWindows++
+		e.m.macroWins.Inc()
+	} else {
+		st.Pins[cause]++
+		e.m.pins[cause].Inc()
+	}
+}
+
+// bound is the event bound: the segment length from step k — up to,
+// exclusive, the next grid step at which any decision can happen — plus
+// the pin reason charged when that length is a single step. The reason is
+// the bound that strictly lowered `next` last; on ties the earlier check
+// wins, so the attribution precedence is horizon-end, arrival, fault-edge,
+// completion, controller horizon (lone rack only: a larger plant's racks
+// bound their own chunks in crossSegment), sample grid — deterministic for
+// every worker count because every bound is computed from serial state.
+func (e *traceRun) bound(k int, now float64, sampleSteps int) (int, pinReason) {
+	// Fault runs pin to single steps while any live server sits inside the
+	// trip-guard band: a natural trip latching mid-window would defer its
+	// job kills to the window's end, diverging from the fixed-dt reference
+	// that observes the trip on its exact step. A backlog-crossing window
+	// (LoadOnlyRefuser) takes the same pin even on fault-free runs — a
+	// natural trip un-healths a slot, which is exactly the state a
+	// load-only refusal is conditioned on — while the empty-backlog path
+	// keeps the fault-runs-only condition.
+	if len(e.actions) > 0 || len(e.pending) > 0 {
+		for i := range e.loads {
+			if e.pl.Rack(i).TripRisk() {
+				return 1, pinTripGuard
+			}
+		}
 	}
 	next, cause := e.steps, pinHorizonEnd
 	if e.nextJob < len(e.jobs) {
@@ -1194,17 +1315,10 @@ func (e *traceRun) window(k int, now float64, sampleSteps int) (int, pinReason) 
 			next, cause = kc, pinCompletion
 		}
 	}
-	if q, qc := e.r.QuietHorizonCause(now, e.dt); !math.IsInf(q, 1) {
-		if kq := e.stepAtOrAfter(q); kq < next {
-			next = kq
-			switch {
-			case qc == rack.QuietNoPromiser:
-				cause = pinNoPromise
-			case e.r.FansUnsettled():
-				cause = pinFanSlew
-			default:
-				cause = pinController
-			}
+	if e.lone {
+		rk := e.pl.Rack(0)
+		if kq, qc, ok := e.quietBound(rk, now); ok && kq < next {
+			next, cause = kq, qc
 		}
 	}
 	if sampleSteps > 0 {
@@ -1216,6 +1330,24 @@ func (e *traceRun) window(k int, now float64, sampleSteps int) (int, pinReason) 
 		next = k + 1
 	}
 	return next - k, cause
+}
+
+// quietBound returns the grid step at which rack rk's controller horizon
+// from now expires and the pin reason it charges; ok is false while every
+// controller promises quiet forever.
+func (e *traceRun) quietBound(rk *rack.Rack, now float64) (k int, cause pinReason, ok bool) {
+	q, qc := rk.QuietHorizonCause(now, e.dt)
+	switch {
+	case math.IsInf(q, 1):
+		return 0, 0, false
+	case qc == rack.QuietNoPromiser:
+		cause = pinNoPromise
+	case rk.FansUnsettled():
+		cause = pinFanSlew
+	default:
+		cause = pinController
+	}
+	return e.stepAtOrAfter(q), cause, true
 }
 
 // arrivalStep returns the grid step at which the fixed-dt loop admits an
@@ -1239,33 +1371,43 @@ func (e *traceRun) arrivalStep(a float64) int {
 	return k
 }
 
-// buildFaultActions pins every schedule event to its integer grid steps:
-// the apply edge at the first step with k·dt ≥ At, the clear edge (for
-// windowed events) at the first step with k·dt ≥ Clear. Edges landing past
-// the horizon are dropped — a fault injecting too late never happens; a
-// clear past the horizon leaves the fault active to the end. An apply and
-// its clear pinning to the same step collapse to nothing (a zero-step
-// fault window has no observable effect at any decision instant). The
-// surviving edges are ordered by step, clears before applies at a shared
-// step, declaration order as the final tie-break.
-func (e *traceRun) buildFaultActions() {
-	for _, ev := range e.tc.Faults.Events {
-		ka := e.relStepAtOrAfter(ev.At)
-		if ka >= e.steps {
+// buildFaultActions validates the per-rack schedules and pins every event
+// to its integer grid steps: the apply edge at the first step with
+// k·dt ≥ At, the clear edge (for windowed events) at the first step with
+// k·dt ≥ Clear. Edges landing past the horizon are dropped — a fault
+// injecting too late never happens; a clear past the horizon leaves the
+// fault active to the end. An apply and its clear pinning to the same step
+// collapse to nothing (a zero-step fault window has no observable effect
+// at any decision instant). The surviving edges are ordered by step,
+// clears before applies at a shared step, rack order then declaration
+// order as the final tie-breaks.
+func (e *traceRun) buildFaultActions(faults []*fault.Schedule) error {
+	for ri, sch := range faults {
+		if sch.Empty() {
 			continue
 		}
-		if ev.Windowed() {
-			kc := e.relStepAtOrAfter(ev.Clear)
-			if kc == ka {
+		rk := e.pl.Rack(ri)
+		if err := sch.Validate(rk.NumServers(), rk.Server(0).Fans().NumFans()); err != nil {
+			return fmt.Errorf("%s: fault schedule for rack %d: %w", e.names.err, ri, err)
+		}
+		for _, ev := range sch.Events {
+			ka := e.relStepAtOrAfter(ev.At)
+			if ka >= e.steps {
 				continue
 			}
-			e.actions = append(e.actions, faultAction{k: ka, apply: true, ev: ev})
-			if kc < e.steps {
-				e.actions = append(e.actions, faultAction{k: kc, apply: false, ev: ev})
+			if ev.Windowed() {
+				kc := e.relStepAtOrAfter(ev.Clear)
+				if kc == ka {
+					continue
+				}
+				e.actions = append(e.actions, faultAction{k: ka, rack: ri, apply: true, ev: ev})
+				if kc < e.steps {
+					e.actions = append(e.actions, faultAction{k: kc, rack: ri, apply: false, ev: ev})
+				}
+				continue
 			}
-			continue
+			e.actions = append(e.actions, faultAction{k: ka, rack: ri, apply: true, ev: ev})
 		}
-		e.actions = append(e.actions, faultAction{k: ka, apply: true, ev: ev})
 	}
 	sort.SliceStable(e.actions, func(a, b int) bool {
 		if e.actions[a].k != e.actions[b].k {
@@ -1276,6 +1418,7 @@ func (e *traceRun) buildFaultActions() {
 	for _, a := range e.actions {
 		e.faultSteps = append(e.faultSteps, a.k)
 	}
+	return nil
 }
 
 // relStepAtOrAfter returns the smallest grid step k with k·dt ≥ t for a
@@ -1317,20 +1460,23 @@ func (e *traceRun) stepAtOrAfter(t float64) int {
 
 // Settle advances the rack with no offered load for `duration` seconds —
 // the idle stabilization window experiments run before their measured
-// trace. With event stepping the whole window collapses into a handful of
-// controller-horizon macro windows; otherwise it is the plain fixed-dt
-// loop (an integer step count, so a non-integer dt cannot drift the
-// window).
+// trace: a job-free trace run on the chosen kernel. With event stepping
+// the whole window collapses into a handful of controller-horizon macro
+// windows.
 func Settle(r *rack.Rack, dt, duration float64, eventStepping bool) error {
+	return settle(rackPlant{r}, dt, duration, eventStepping, rackScope)
+}
+
+func settle(pl plant, dt, duration float64, eventStepping bool, names scopeNames) error {
 	if duration <= 0 {
 		return nil
 	}
-	if eventStepping {
-		_, err := RunTraceCfg(r, nil, NewRoundRobin(), TraceConfig{Dt: dt, Horizon: duration, EventStepping: true})
+	// No job ever reaches the placer; the round-robin only fills the slot.
+	e, err := newRun(pl, &policyPlacer{p: NewRoundRobin()}, nil,
+		TraceConfig{Dt: dt, Horizon: duration, EventStepping: eventStepping}, nil, names)
+	if err != nil {
 		return err
 	}
-	for k := int(math.Ceil(duration/dt - 1e-9)); k > 0; k-- {
-		r.Step(dt)
-	}
-	return nil
+	_, err = e.run()
+	return err
 }
