@@ -124,6 +124,10 @@ type Bank struct {
 	phU     units.Percent
 	phR     units.RPM
 	phVal   units.Celsius
+
+	// maxT and sumT are MaxTemp and TempSum of temps, folded by every loop
+	// that writes temps (see fold) so both reads are O(1).
+	maxT, sumT float64
 }
 
 // NewBank builds a bank in equilibrium with the given ambient temperature.
@@ -140,7 +144,21 @@ func NewBank(cfg Config, ambient units.Celsius) (*Bank, error) {
 		b.temps[i] = float64(ambient)
 		b.rowFrac[i] = float64(i) / float64(cfg.NumDIMMs-1+1)
 	}
+	b.fold()
 	return b, nil
+}
+
+// fold recomputes the cached max and sum from scratch, in index order —
+// the definition the in-loop folds of Step and StepN reproduce.
+func (b *Bank) fold() {
+	m, sum := math.Inf(-1), 0.0
+	for _, v := range b.temps {
+		if v > m {
+			m = v
+		}
+		sum += v
+	}
+	b.maxT, b.sumT = m, sum
 }
 
 // Power returns the whole-bank memory power at utilization u.
@@ -205,10 +223,17 @@ func (b *Bank) Step(dt float64, ambient units.Celsius, u units.Percent, r units.
 	}
 	alpha := b.alphaVal
 	rise, preheat := b.eqTerms(u, r)
+	m, sum := math.Inf(-1), 0.0
 	for i := range b.temps {
 		eq := b.eqAt(i, ambient, rise, preheat)
-		b.temps[i] += alpha * (eq - b.temps[i])
+		v := b.temps[i] + alpha*(eq-b.temps[i])
+		b.temps[i] = v
+		if v > m {
+			m = v
+		}
+		sum += v
 	}
+	b.maxT, b.sumT = m, sum
 }
 
 // StepN advances DIMM temperatures by n consecutive Step(dt, …) calls with
@@ -231,10 +256,17 @@ func (b *Bank) StepN(dt float64, n int, ambient units.Celsius, u units.Percent, 
 	}
 	shrink := math.Pow(1-b.alphaVal, float64(n))
 	rise, preheat := b.eqTerms(u, r)
+	m, sum := math.Inf(-1), 0.0
 	for i := range b.temps {
 		eq := b.eqAt(i, ambient, rise, preheat)
-		b.temps[i] = eq + shrink*(b.temps[i]-eq)
+		v := eq + shrink*(b.temps[i]-eq)
+		b.temps[i] = v
+		if v > m {
+			m = v
+		}
+		sum += v
 	}
+	b.maxT, b.sumT = m, sum
 }
 
 // Temp returns DIMM i's temperature.
@@ -254,34 +286,24 @@ func (b *Bank) Temps() []units.Celsius {
 	return out
 }
 
-// MaxTemp returns the hottest DIMM.
-func (b *Bank) MaxTemp() units.Celsius {
-	m := math.Inf(-1)
-	for _, v := range b.temps {
-		if v > m {
-			m = v
-		}
-	}
-	return units.Celsius(m)
-}
+// MaxTemp returns the hottest DIMM. The `>` fold skips NaN DIMMs (an
+// all-NaN bank reports -Inf); it is kept current by every write to the
+// temperatures, so the read is O(1).
+func (b *Bank) MaxTemp() units.Celsius { return units.Celsius(b.maxT) }
 
 // NumDIMMs returns the DIMM count.
 func (b *Bank) NumDIMMs() int { return len(b.temps) }
 
-// TempSum returns the plain sum of all DIMM temperatures. A NaN or Inf
-// DIMM poisons the sum, whereas MaxTemp's comparisons would skip it —
-// the divergence guard reads this, not the max.
-func (b *Bank) TempSum() float64 {
-	var s float64
-	for _, v := range b.temps {
-		s += v
-	}
-	return s
-}
+// TempSum returns the plain sum of all DIMM temperatures in index order.
+// A NaN or Inf DIMM poisons the sum, whereas MaxTemp's comparisons would
+// skip it — the divergence guard reads this, not the max. Like MaxTemp it
+// is folded by every write, so the read is O(1).
+func (b *Bank) TempSum() float64 { return b.sumT }
 
 // Settle snaps all DIMMs to equilibrium for the given conditions.
 func (b *Bank) Settle(ambient units.Celsius, u units.Percent, r units.RPM) {
 	for i := range b.temps {
 		b.temps[i] = b.equilibrium(i, ambient, u, r)
 	}
+	b.fold()
 }

@@ -157,3 +157,71 @@ func TestTempsCopyIsolation(t *testing.T) {
 		t.Fatal("Temps() must return a copy")
 	}
 }
+
+// loopMaxSum is the from-scratch definition of MaxTemp and TempSum: a `>`
+// fold from -Inf (NaN skipped) and a plain sum in index order.
+func loopMaxSum(b *Bank) (float64, float64) {
+	m, s := math.Inf(-1), 0.0
+	for _, v := range b.temps {
+		if v > m {
+			m = v
+		}
+		s += v
+	}
+	return m, s
+}
+
+// TestCachedMaxSumMatchLoop: the max and sum every temperature write
+// folds equal a fresh loop, bit for bit, after construction, Step, StepN,
+// Settle and SetState — including a NaN DIMM, which MaxTemp skips and
+// TempSum must not.
+func TestCachedMaxSumMatchLoop(t *testing.T) {
+	b := newBank(t)
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	check := func(when string) {
+		t.Helper()
+		m, s := loopMaxSum(b)
+		if gm, gs := float64(b.MaxTemp()), b.TempSum(); !same(gm, m) || !same(gs, s) {
+			t.Fatalf("%s: cached max %v sum %v, loop max %v sum %v", when, gm, gs, m, s)
+		}
+	}
+	check("construction")
+	b.Step(1, 24, 60, 2400)
+	check("Step")
+	b.StepN(1, 37, 26, 90, 3000)
+	check("StepN")
+	b.StepN(2, 1, 22, 10, 1800)
+	check("StepN n=1")
+	b.Settle(25, 40, 2000)
+	check("Settle")
+
+	st := b.State()
+	st.Temps[5] = math.NaN()
+	if err := b.SetState(st); err != nil {
+		t.Fatal(err)
+	}
+	check("SetState with a NaN DIMM")
+	if !math.IsNaN(b.TempSum()) {
+		t.Fatalf("TempSum %v: a NaN DIMM must poison the sum", b.TempSum())
+	}
+	if math.IsNaN(float64(b.MaxTemp())) {
+		t.Fatal("MaxTemp must skip a NaN DIMM")
+	}
+	b.Step(1, 24, 60, 2400)
+	check("Step after NaN")
+	if !math.IsNaN(b.TempSum()) {
+		t.Fatal("a NaN DIMM must stay NaN through Step and keep poisoning the sum")
+	}
+	for i := range st.Temps {
+		st.Temps[i] = math.NaN()
+	}
+	if err := b.SetState(st); err != nil {
+		t.Fatal(err)
+	}
+	check("all-NaN bank")
+	if !math.IsInf(float64(b.MaxTemp()), -1) {
+		t.Fatalf("all-NaN MaxTemp = %v, want -Inf", b.MaxTemp())
+	}
+}

@@ -694,7 +694,10 @@ func (r *Rack) StateSum() float64 {
 // use the same mechanism). The room layer applies heat-recirculation inlet
 // deltas through it, serially between steps — never concurrently with
 // Step/Advance. A zero delta touches nothing, keeping an uncoupled room
-// bit-identical to independently stepped racks.
+// bit-identical to independently stepped racks. Only each server's
+// ambient is written; its thermal inputs are synced by their next reader
+// (server.Server.SetAmbientOffset), so the room's per-barrier re-anchor
+// costs one store per server.
 func (r *Rack) AddAmbientOffset(delta units.Celsius) {
 	if delta == 0 {
 		return

@@ -58,4 +58,21 @@
 // (Σ pins == advances − macro windows per rack, TestRoomPinIdentity). A
 // one-rack room runs exactly like its rack under sched.RunTraceCfg
 // (TestOneRackRoomMatchesRack).
+//
+// # Placement views are kept between placements
+//
+// The chooser ranks RackViews — per-rack aggregates plus every slot's
+// sched.ServerView. The runner keeps them across placements and rebuilds
+// rack i's view only when
+//
+//   - the room moved since the views were taken: Segment (every fixed-dt
+//     step and every event segment), ApplyFault, ClearFault and Restore
+//     advance a room generation counter, which invalidates every view; or
+//   - the dispatcher's loads on rack i differ from the loads its view
+//     holds (a placement, completion or kill on that rack).
+//
+// Between two placements of one step only the receiving rack's view is
+// rebuilt. Blocked is cleared on every placement attempt. Views are
+// read-only to choosers and slot policies. The kept views equal a full
+// rebuild at every placement (TestKeptViewsMatchFresh).
 package room

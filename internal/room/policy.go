@@ -47,7 +47,9 @@ type RackView struct {
 // lowest index), must skip Blocked racks, and must not mutate internal
 // state in Choose — a chooser with placement-dependent state (the
 // round-robin cursor) implements RackCommitter and mutates only there, so
-// a slot-policy refusal after a Choose never desynchronizes it.
+// a slot-policy refusal after a Choose never desynchronizes it. The views
+// (and their Slots, which the chosen rack's sched.Policy receives) are
+// read-only: the runner keeps them across placements.
 type RackChooser interface {
 	Name() string
 	Reset()
@@ -119,7 +121,7 @@ func (p *Policy) loadOnly() bool {
 // refused this attempt, with at least one healthy slot whose free capacity
 // covers the demand — the load/health-only feasibility every shipped
 // chooser filters on.
-func rackFits(v RackView, j sched.Job) bool {
+func rackFits(v *RackView, j sched.Job) bool {
 	return !v.Blocked && v.Healthy > 0 && v.MaxFree >= j.Demand
 }
 
@@ -149,7 +151,7 @@ func (p *RoundRobinRacks) RefusalIsLoadOnly() bool { return true }
 func (p *RoundRobinRacks) Choose(j sched.Job, racks []RackView) int {
 	n := len(racks)
 	for k := 0; k < n; k++ {
-		v := racks[(p.next+k)%n]
+		v := &racks[(p.next+k)%n]
 		if rackFits(v, j) {
 			return v.Index
 		}
@@ -185,7 +187,8 @@ func (p *LeastLoadedRack) RefusalIsLoadOnly() bool { return true }
 func (p *LeastLoadedRack) Choose(j sched.Job, racks []RackView) int {
 	best := -1
 	var bestLoad units.Percent
-	for _, v := range racks {
+	for i := range racks {
+		v := &racks[i]
 		if !rackFits(v, j) {
 			continue
 		}
@@ -219,7 +222,8 @@ func (p *CoolestRack) Reset() {}
 func (p *CoolestRack) Choose(j sched.Job, racks []RackView) int {
 	best := -1
 	var bestInlet units.Celsius
-	for _, v := range racks {
+	for i := range racks {
+		v := &racks[i]
 		if !rackFits(v, j) {
 			continue
 		}
@@ -266,10 +270,11 @@ func (p *MinCostRack) Reset() {}
 // minSlotCost returns the cheapest steady fan+leak marginal of placing j
 // on any fitting slot of rack view v, using the per-slot tables ts. The
 // second return is false when no slot is feasible and priceable.
-func minSlotCost(ts []*lut.Table, v RackView, j sched.Job) (units.Watts, bool) {
+func minSlotCost(ts []*lut.Table, v *RackView, j sched.Job) (units.Watts, bool) {
 	best, ok := units.Watts(0), false
-	for _, sv := range v.Slots {
-		if !sched.Fits(sv, j) || sv.Index >= len(ts) || ts[sv.Index] == nil {
+	for i := range v.Slots {
+		sv := &v.Slots[i]
+		if !sched.Fits(*sv, j) || sv.Index >= len(ts) || ts[sv.Index] == nil {
 			continue
 		}
 		cost, err := sched.SteadyFanLeakMarginal(ts[sv.Index], sv.Load, j.Demand)
@@ -288,7 +293,8 @@ func minSlotCost(ts []*lut.Table, v RackView, j sched.Job) (units.Watts, bool) {
 func (p *MinCostRack) Choose(j sched.Job, racks []RackView) int {
 	best := -1
 	var bestCost units.Watts
-	for _, v := range racks {
+	for i := range racks {
+		v := &racks[i]
 		if !rackFits(v, j) || v.Index >= len(p.tables) {
 			continue
 		}
@@ -351,7 +357,8 @@ func (p *RecircAware) Reset() {}
 func (p *RecircAware) Choose(j sched.Job, racks []RackView) int {
 	best := -1
 	var bestCost float64
-	for _, v := range racks {
+	for i := range racks {
+		v := &racks[i]
 		if !rackFits(v, j) || v.Index >= len(p.tables) {
 			continue
 		}

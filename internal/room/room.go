@@ -93,6 +93,11 @@ type Room struct {
 	// Prebuilt fixed-step fan-out closure (see rack.Rack's field comment).
 	argDt  float64
 	stepFn func(i int)
+
+	// gen advances whenever the room's physical state may have moved —
+	// Segment, ApplyFault, ClearFault, Restore. The placer keeps its rack
+	// views across placements while gen and a rack's loads are unchanged.
+	gen uint64
 }
 
 // New builds a room, constructing every rack from its spec. With a shared
@@ -232,6 +237,7 @@ func (rm *Room) Step(dt float64) {
 // wall meters' deltas — exact for both the per-step and the macro-window
 // rack paths.
 func (rm *Room) Segment(dt float64, steps int, cross func(i int)) {
+	rm.gen++
 	for i, rk := range rm.racks {
 		rm.wallE0[i] = rk.WallEnergyJoules()
 	}
@@ -327,6 +333,7 @@ func (rm *Room) ApplyFault(rackIdx int, ev fault.Event) error {
 	if rackIdx < 0 || rackIdx >= len(rm.racks) {
 		return fmt.Errorf("room: fault targets rack %d of %d", rackIdx, len(rm.racks))
 	}
+	rm.gen++
 	if err := rm.racks[rackIdx].ApplyFault(ev); err != nil {
 		return err
 	}
@@ -344,6 +351,7 @@ func (rm *Room) ClearFault(rackIdx int, ev fault.Event) error {
 	if rackIdx < 0 || rackIdx >= len(rm.racks) {
 		return fmt.Errorf("room: fault targets rack %d of %d", rackIdx, len(rm.racks))
 	}
+	rm.gen++
 	if err := rm.racks[rackIdx].ClearFault(ev); err != nil {
 		return err
 	}

@@ -69,6 +69,7 @@ func (rm *Room) Restore(st State) error {
 	if len(st.Offsets) != len(rm.racks) || len(st.LastWall) != len(rm.racks) {
 		return fmt.Errorf("room: state offset/wall vectors do not match %d racks", len(rm.racks))
 	}
+	rm.gen++
 	for i, rk := range rm.racks {
 		if err := rk.Restore(st.Racks[i]); err != nil {
 			return fmt.Errorf("room: rack %d: %w", i, err)

@@ -88,12 +88,16 @@ func RunTrace(rm *Room, jobs []sched.Job, pol *Policy, tc TraceConfig) (Result, 
 		return Result{}, fmt.Errorf("room: policy has %d slot policies for %d racks", len(pol.Slots), rm.NumRacks())
 	}
 	pol.reset()
-	pick := &placer{rm: rm, pol: pol, views: make([]RackView, rm.NumRacks())}
-	return sched.RunPlant(rm, jobs, pick, sched.TraceConfig{
+	return sched.RunPlant(rm, jobs, newPlacer(rm, pol), tc.plantConfig(), tc.Faults)
+}
+
+// plantConfig is the sched.TraceConfig a room run hands the trace kernel.
+func (tc TraceConfig) plantConfig() sched.TraceConfig {
+	return sched.TraceConfig{
 		Dt: tc.Dt, Horizon: tc.Horizon, Ctx: tc.Ctx,
 		EventStepping: tc.EventStepping, SampleEvery: tc.SampleEvery,
 		DropOnFault: tc.DropOnFault, Metrics: tc.Metrics,
-	}, tc.Faults)
+	}
 }
 
 // Settle advances the room with no offered load for `duration` seconds —
@@ -107,15 +111,32 @@ func Settle(rm *Room, dt, duration float64, eventStepping bool) error {
 // chooser proposes a rack, its slot policy places or refuses, and a
 // refusal masks the rack for this job while the chooser retries over the
 // rest.
+//
+// The rack views are kept between placements. A rack's view is rebuilt
+// only when the room moved since the views were taken (Room.gen: a
+// segment, a fault edge, a restore) or the dispatcher's loads on that rack
+// differ from the ones the view holds — between two placements of one
+// step only the receiving rack's view is rebuilt.
 type placer struct {
 	rm    *Room
 	pol   *Policy
 	views []RackView
+	built bool   // views hold a complete snapshot...
+	gen   uint64 // ...taken at this room generation
+}
+
+func newPlacer(rm *Room, pol *Policy) *placer {
+	return &placer{rm: rm, pol: pol, views: make([]RackView, rm.NumRacks())}
 }
 
 // Pick implements the kernel's placement hook.
 func (p *placer) Pick(j sched.Job, loads [][]units.Percent) (int, int, error) {
-	p.buildViews(loads)
+	p.refresh(loads)
+	return p.choose(j)
+}
+
+// choose runs the chooser loop over the current views.
+func (p *placer) choose(j sched.Job) (int, int, error) {
 	for {
 		ri := p.pol.Chooser.Choose(j, p.views)
 		if ri < 0 {
@@ -146,43 +167,66 @@ func (p *placer) PolicyName(ri int) string { return p.pol.Slots[ri].Name() }
 // two-level decision (see Policy.loadOnly).
 func (p *placer) RefusalIsLoadOnly() bool { return p.pol.loadOnly() }
 
-// buildViews refreshes the chooser's per-rack snapshot (and the embedded
-// per-slot views) from the dispatcher's loads and the racks' state — once
-// per placement attempt, so every decision sees same-step placements.
-func (p *placer) buildViews(loads [][]units.Percent) {
+// refresh brings the views up to date for a placement attempt against the
+// dispatcher's loads — rebuilding the stale racks (see placer) — and
+// clears every Blocked mask.
+func (p *placer) refresh(loads [][]units.Percent) {
+	all := !p.built || p.gen != p.rm.gen
 	for ri := range p.views {
-		rk := p.rm.racks[ri]
-		rv := &p.views[ri]
-		rv.Index = ri
-		rv.Name = p.rm.names[ri]
-		rv.Servers = rk.NumServers()
-		rv.Healthy = 0
-		rv.Load, rv.Free, rv.MaxFree = 0, 0, 0
-		rv.MaxInletC, rv.MaxCPUTempC = -1e9, -1e9
-		rv.WallPowerW = float64(rk.WallPower())
-		rv.RecircOffsetC = p.rm.offsets[ri]
-		rv.RecircRowSum = p.rm.rowSums[ri]
-		rv.Blocked = false
-		if rv.Slots == nil {
-			rv.Slots = make([]sched.ServerView, rk.NumServers())
+		if all || !sameLoads(p.views[ri].Slots, loads[ri]) {
+			p.buildView(ri, loads[ri])
 		}
-		sched.FillViews(rv.Slots, rk, loads[ri])
-		for i := range rv.Slots {
-			sv := &rv.Slots[i]
-			rv.Load += sv.Load
-			if sv.Health == rack.Healthy {
-				rv.Healthy++
-				rv.Free += sv.Free
-				if sv.Free > rv.MaxFree {
-					rv.MaxFree = sv.Free
-				}
+		p.views[ri].Blocked = false
+	}
+	p.built, p.gen = true, p.rm.gen
+}
+
+// sameLoads reports whether slot views carry exactly the given loads.
+func sameLoads(slots []sched.ServerView, loads []units.Percent) bool {
+	if len(slots) != len(loads) {
+		return false
+	}
+	for i := range slots {
+		if slots[i].Load != loads[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// buildView rebuilds rack ri's view (and its embedded per-slot views) from
+// the dispatcher's loads and the rack's state.
+func (p *placer) buildView(ri int, loads []units.Percent) {
+	rk := p.rm.racks[ri]
+	rv := &p.views[ri]
+	rv.Index = ri
+	rv.Name = p.rm.names[ri]
+	rv.Servers = rk.NumServers()
+	rv.Healthy = 0
+	rv.Load, rv.Free, rv.MaxFree = 0, 0, 0
+	rv.MaxInletC, rv.MaxCPUTempC = -1e9, -1e9
+	rv.WallPowerW = float64(rk.WallPower())
+	rv.RecircOffsetC = p.rm.offsets[ri]
+	rv.RecircRowSum = p.rm.rowSums[ri]
+	if rv.Slots == nil {
+		rv.Slots = make([]sched.ServerView, rk.NumServers())
+	}
+	sched.FillViews(rv.Slots, rk, loads)
+	for i := range rv.Slots {
+		sv := &rv.Slots[i]
+		rv.Load += sv.Load
+		if sv.Health == rack.Healthy {
+			rv.Healthy++
+			rv.Free += sv.Free
+			if sv.Free > rv.MaxFree {
+				rv.MaxFree = sv.Free
 			}
-			if sv.MaxCPUTemp > rv.MaxCPUTempC {
-				rv.MaxCPUTempC = sv.MaxCPUTemp
-			}
-			if sv.InletTemp > rv.MaxInletC {
-				rv.MaxInletC = sv.InletTemp
-			}
+		}
+		if sv.MaxCPUTemp > rv.MaxCPUTempC {
+			rv.MaxCPUTempC = sv.MaxCPUTemp
+		}
+		if sv.InletTemp > rv.MaxInletC {
+			rv.MaxInletC = sv.InletTemp
 		}
 	}
 }

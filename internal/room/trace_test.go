@@ -59,23 +59,43 @@ func TestHostileTraceConfigs(t *testing.T) {
 }
 
 // TestRoomDivergenceGuard mirrors sched's TestDivergenceGuard at room
-// scope: a rack whose physics goes NaN stops the run with *sched.Diverged
-// on both kernels. Room runs have no checkpoints, so the diagnostic
-// Checkpoint stays zero.
+// scope: a rack whose physics goes NaN — through its ambient, or through a
+// single DIMM, which the bank's cached max skips but its cached sum must
+// not — stops the run with *sched.Diverged on both kernels. Room runs have
+// no checkpoints, so the diagnostic Checkpoint stays zero.
 func TestRoomDivergenceGuard(t *testing.T) {
-	for _, event := range []bool{false, true} {
-		rm := testRoom(t, 2, 2, 2, nil, nil, true)
-		rm.Rack(1).AddAmbientOffset(units.Celsius(math.NaN()))
-		_, err := RunTrace(rm, nil, rrPolicy(t, 2), TraceConfig{Dt: 1, Horizon: 300, EventStepping: event})
-		var d *sched.Diverged
-		if !errors.As(err, &d) {
-			t.Fatalf("event=%v: got %v, want *sched.Diverged", event, err)
-		}
-		if d.Step <= 0 || d.Step > 300 {
-			t.Fatalf("event=%v: divergence at implausible step %d", event, d.Step)
-		}
-		if !reflect.DeepEqual(d.Checkpoint, sched.Checkpoint{}) {
-			t.Fatalf("event=%v: room divergence carries a checkpoint", event)
+	poisons := []struct {
+		name   string
+		poison func(t *testing.T, rm *Room)
+	}{
+		{"ambient", func(_ *testing.T, rm *Room) {
+			rm.Rack(1).AddAmbientOffset(units.Celsius(math.NaN()))
+		}},
+		{"dimm", func(t *testing.T, rm *Room) {
+			srv := rm.Rack(1).Server(1)
+			st := srv.State()
+			st.Mem.Temps[3] = math.NaN()
+			if err := srv.SetState(st); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, p := range poisons {
+		name := p.name
+		for _, event := range []bool{false, true} {
+			rm := testRoom(t, 2, 2, 2, nil, nil, true)
+			p.poison(t, rm)
+			_, err := RunTrace(rm, nil, rrPolicy(t, 2), TraceConfig{Dt: 1, Horizon: 300, EventStepping: event})
+			var d *sched.Diverged
+			if !errors.As(err, &d) {
+				t.Fatalf("%s event=%v: got %v, want *sched.Diverged", name, event, err)
+			}
+			if d.Step <= 0 || d.Step > 300 {
+				t.Fatalf("%s event=%v: divergence at implausible step %d", name, event, d.Step)
+			}
+			if !reflect.DeepEqual(d.Checkpoint, sched.Checkpoint{}) {
+				t.Fatalf("%s event=%v: room divergence carries a checkpoint", name, event)
+			}
 		}
 	}
 }

@@ -68,17 +68,19 @@ func (pp *policyPlacer) RefusalIsLoadOnly() bool { return RefusalIsLoadOnly(pp.p
 // temperatures, draws and health.
 func FillViews(views []ServerView, r *rack.Rack, loads []units.Percent) {
 	for i := range views {
-		views[i] = ServerView{
-			Index:      i,
-			Name:       r.Name(i),
-			Load:       loads[i],
-			Free:       100 - loads[i],
-			MaxCPUTemp: r.Server(i).MaxCPUTemp(),
-			InletTemp:  r.Server(i).InletTemp(),
-			DCPower:    r.ServerDCPower(i),
-			WallPower:  r.ServerWallPower(i),
-			Health:     r.Health(i),
-		}
+		// Field by field through a pointer: assigning a composite literal
+		// builds the view on the stack and block-copies it into the slice.
+		v := &views[i]
+		srv := r.Server(i)
+		v.Index = i
+		v.Name = r.Name(i)
+		v.Load = loads[i]
+		v.Free = 100 - loads[i]
+		v.MaxCPUTemp = srv.MaxCPUTemp()
+		v.InletTemp = srv.InletTemp()
+		v.DCPower = r.ServerDCPower(i)
+		v.WallPower = r.ServerWallPower(i)
+		v.Health = r.Health(i)
 	}
 }
 

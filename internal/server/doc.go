@@ -35,4 +35,17 @@
 //     fixed-dt steps (the PR 5 event-kernel contract).
 //
 // Fan-level faults (stick, fail) live on the fans.Bank reached via Fans().
+//
+// # Readers sync the thermal inputs
+//
+// The thermal network's inputs — inlet boundary temperature, sink
+// conductances and injected die powers — are derived state: a pure
+// function of the ambient, utilization, fan speed, DVFS scales, power
+// state and die temperatures. Every reader refreshes them from those
+// sources before using them: Step, a macro-window re-anchor,
+// BandDecisionHorizon, SetPowered and SetState each sync first. Mutators
+// of the sources therefore only write the source — SetAmbientOffset
+// stores the new ambient and nothing else, which is what lets a room
+// re-apply recirculation offsets to every server at every barrier for one
+// store each. A new reader of the network's inputs must sync first too.
 package server

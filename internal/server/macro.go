@@ -55,7 +55,8 @@ const tripGuardC = 5
 // thermal-trip threshold, or a transient faster than the drift tolerance.
 // The window-constant bookkeeping (DIMM lag, fan energy, peak sampling,
 // the power breakdown) is deferred to flush points instead of being
-// repeated per segment.
+// repeated per segment, and a window that ends on a plain Step — every
+// single-step window — keeps that Step's tail as its own.
 func (s *Server) MacroWindow(dt float64, steps int) (maxDieC, maxDIMMC, maxInletC float64) {
 	maxDieC, maxDIMMC, maxInletC = -1e9, -1e9, -1e9
 	fold := func() {
@@ -76,6 +77,7 @@ func (s *Server) MacroWindow(dt float64, steps int) (maxDieC, maxDIMMC, maxInlet
 	// post-step states — a start fold would see "new load, pre-slew fan"
 	// combinations that never exist on the reference path.
 	pendingMem := 0
+	plainEnd := false // the window's last advance was a plain Step
 	for done := 0; done < steps; {
 		// Single-step windows (pinned advances) keep the plain Step: the
 		// closed form cannot beat one matvec.
@@ -84,6 +86,7 @@ func (s *Server) MacroWindow(dt float64, steps int) (maxDieC, maxDIMMC, maxInlet
 				if n := s.macroSegment(dt, steps-done); n > 0 {
 					done += n
 					pendingMem += n
+					plainEnd = false
 					fold()
 					continue
 				}
@@ -104,8 +107,14 @@ func (s *Server) MacroWindow(dt float64, steps int) (maxDieC, maxDIMMC, maxInlet
 		}
 		s.Step(dt)
 		done++
+		plainEnd = true
 		fold()
 		foldSlow()
+	}
+	if plainEnd {
+		// Step already ran the window tail (trip check, breakdown, peak)
+		// and foldSlow sampled its state; repeating both is a no-op.
+		return maxDieC, maxDIMMC, maxInletC
 	}
 	if pendingMem > 0 {
 		s.flushMacro(dt, pendingMem)

@@ -502,10 +502,13 @@ func (s *Server) PinFixedDt(delta int) {
 
 // SetAmbientOffset shifts the inlet ambient to the construction-time base
 // plus delta °C (fault injection: ambient excursions and CRAC-outage heat
-// soak). Offsets compose additively; pass the summed offset.
+// soak, and the room's recirculation offsets). Offsets compose additively;
+// pass the summed offset. It writes the ambient only: every reader of the
+// thermal network's inputs — Step, a macro-window re-anchor,
+// BandDecisionHorizon, SetPowered and SetState — syncs them from the
+// current ambient first (see doc.go), so no sync is owed here.
 func (s *Server) SetAmbientOffset(delta units.Celsius) {
 	s.cfg.Ambient = s.baseAmbient + delta
-	s.syncThermalInputs()
 }
 
 // AmbientOffset returns the current shift from the construction-time
